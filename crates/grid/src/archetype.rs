@@ -207,7 +207,8 @@ pub fn solve_with(deploy: &DeployConfig, fastforward: bool) -> SegmentSolution {
 
 /// Reference solver: recompute the dilation from scratch, bypassing the
 /// memo (the `--hydrated-reference` substrate), so memoization itself
-/// sits under the equivalence tests.
+/// sits under the equivalence tests. Only the science block's kernel
+/// characterization is shared, a pure function of fixed parameters.
 pub fn solve_direct(deploy: &DeployConfig) -> SegmentSolution {
     SegmentSolution {
         vm_factor: crate::sim::vm_cpu_factor(&deploy.mode),

@@ -36,8 +36,7 @@ use crate::sim::{CampaignCheckpoint, HostSlot, TaskCopy, Work};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use vgrid_machine::ops::OpBlock;
+use std::sync::Mutex;
 use vgrid_simcore::{DetMap, SimTime};
 use vgrid_simobs::fnv1a64;
 
@@ -101,19 +100,6 @@ pub fn stats() -> FastForwardStats {
 // ---------------------------------------------------------------------
 // Segment-solution cache (cross-sweep, process-wide).
 // ---------------------------------------------------------------------
-
-static SCIENCE_BLOCK: OnceLock<OpBlock> = OnceLock::new();
-
-/// The Einstein surrogate instruction block, cached process-wide: a
-/// pure constant (fixed kernel, fixed seed), so the cached clone is
-/// bit-identical to a fresh construction. The kill switch bypasses the
-/// cache so the "off" arm prices the legacy construction cost.
-pub(crate) fn science_block_cached() -> OpBlock {
-    if !enabled() {
-        return crate::sim::science_block();
-    }
-    SCIENCE_BLOCK.get_or_init(crate::sim::science_block).clone()
-}
 
 /// Canonical identity of a contention-steady segment: the deploy mode's
 /// full solver key (FNV-digested, like the engine's `TrialKey`) plus
@@ -520,15 +506,6 @@ mod tests {
         let direct = crate::hydrate::measure_dilation_direct(&mode);
         assert_eq!(measured_dilation(&mode).to_bits(), direct.to_bits());
         assert_eq!(measured_dilation(&mode).to_bits(), direct.to_bits());
-    }
-
-    #[test]
-    fn science_block_cache_is_bit_identical() {
-        let cached = science_block_cached();
-        let fresh = crate::sim::science_block();
-        assert_eq!(cached.counts, fresh.counts);
-        assert_eq!(cached.working_set, fresh.working_set);
-        assert_eq!(cached.label, fresh.label);
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl HydrationPool {
 /// ground-truth measurement; the process-wide memo in
 /// [`crate::fastforward`] only caches its (deterministic) result.
 pub(crate) fn measure_dilation_direct(mode: &ExecutionMode) -> f64 {
-    let block = crate::fastforward::science_block_cached();
+    let block = crate::sim::science_block();
     let native = run_probe(block.clone());
     let dilated = match mode {
         ExecutionMode::Native => native,
@@ -216,7 +216,7 @@ pub(crate) fn measure_dilation_direct(mode: &ExecutionMode) -> f64 {
 /// native science block plus its dilated twin. Deterministic — a pure
 /// function of the deploy mode's instruction mix.
 pub(crate) fn probe_footprint_bytes(mode: &ExecutionMode) -> u64 {
-    let block = crate::fastforward::science_block_cached();
+    let block = crate::sim::science_block();
     match mode {
         ExecutionMode::Native => 2 * block.working_set,
         ExecutionMode::Vm(profile) => block.working_set + profile.dilate(&block).working_set,

@@ -36,27 +36,21 @@ use vgrid_machine::MachineSpec;
 use vgrid_simcore::{
     CalendarQueue, DetMap, DetSet, EventQueue, EventScheduler, SimDuration, SimRng, SimTime,
 };
-use vgrid_workloads::counter::OpCounter;
 use vgrid_workloads::einstein::EinsteinKernel;
-use vgrid_workloads::kernel::Kernel;
+use vgrid_workloads::kernel::characterize;
 
 /// The Einstein-style surrogate instruction block every grid task is
 /// modeled on — shared by the analytic dilation solver below and the
-/// full-fidelity hydration probes in [`crate::hydrate`].
+/// full-fidelity hydration probes in [`crate::hydrate`]. The kernel runs
+/// once per process ([`characterize`] memoizes it).
 pub(crate) fn science_block() -> vgrid_machine::ops::OpBlock {
-    let kernel = EinsteinKernel {
+    characterize(&EinsteinKernel {
         fft_len: 4096,
         templates: 4,
         seed: 0x617d,
-    };
-    let mut ops = OpCounter::new();
-    kernel.run(&mut ops);
-    vgrid_machine::ops::OpBlock {
-        label: "grid-task".to_string(),
-        counts: ops.to_counts(),
-        working_set: kernel.working_set(),
-        locality: kernel.locality(),
-    }
+    })
+    .block
+    .with_label("grid-task")
 }
 
 /// Derive the CPU slowdown of VM execution for the Einstein-style

@@ -67,9 +67,9 @@ static REQUEST_ERRORS: AtomicU64 = AtomicU64::new(0);
 /// earlier request (see [`wire::warm_key`]).
 static CROSS_HITS: AtomicU64 = AtomicU64::new(0);
 
-/// Warm identities seen so far. Rank 70 (innermost): this lock is
-/// scoped to a membership check and never held across a campaign run,
-/// which takes the rank 30-60 cache locks.
+/// Warm identities seen so far. Rank 70: this lock is scoped to a
+/// membership check and never held across a campaign run, which takes
+/// the rank 30-65 cache locks and the rank-80 characterization memo.
 static WARM_KEYS: Mutex<Option<DetSet<u64>>> = Mutex::new(None);
 
 /// Snapshot of the serve counters.

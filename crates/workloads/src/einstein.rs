@@ -10,7 +10,7 @@
 //! working set, periodically writing a small checkpoint (BOINC behaviour).
 
 use crate::counter::OpCounter;
-use crate::kernel::Kernel;
+use crate::kernel::{characterize, Kernel};
 use std::cell::RefCell;
 use std::rc::Rc;
 use vgrid_machine::ops::OpBlock;
@@ -219,14 +219,7 @@ impl EinsteinBody {
         kernel: &EinsteinKernel,
         checkpoint_path: Option<String>,
     ) -> (Self, Rc<RefCell<EinsteinProgress>>) {
-        let mut ops = OpCounter::new();
-        kernel.search_chunk(0, &mut ops);
-        let block = OpBlock {
-            label: "einstein-chunk".to_string(),
-            counts: ops.to_counts(),
-            working_set: kernel.working_set(),
-            locality: kernel.locality(),
-        };
+        let block = characterize(kernel).block.with_label("einstein-chunk");
         let progress = Rc::new(RefCell::new(EinsteinProgress::default()));
         (
             EinsteinBody {

@@ -54,8 +54,8 @@ pub struct NBenchTest {
     pub block: OpBlock,
 }
 
-/// The characterized suite (cheap to clone; characterization runs the
-/// real kernels once).
+/// The characterized suite (cheap to clone; [`characterize`] runs each
+/// real kernel once per process).
 #[derive(Debug, Clone)]
 pub struct NBenchSuite {
     /// All ten tests, in canonical order.
@@ -73,9 +73,11 @@ impl NBenchSuite {
         Self::build(true)
     }
 
-    fn build(small: bool) -> Self {
+    /// The ten kernels with their index groups, in canonical order, at
+    /// default sizes or (`small`) the reduced unit-test sizes.
+    pub fn kernels(small: bool) -> Vec<(IndexGroup, Box<dyn Kernel>)> {
         let scale = |full: usize, tiny: usize| if small { tiny } else { full };
-        let kernels: Vec<(IndexGroup, Box<dyn Kernel>)> = vec![
+        vec![
             (
                 IndexGroup::Memory,
                 Box::new(strsort::StringSort {
@@ -154,8 +156,11 @@ impl NBenchSuite {
                     ..Default::default()
                 }),
             ),
-        ];
-        let tests = kernels
+        ]
+    }
+
+    fn build(small: bool) -> Self {
+        let tests = Self::kernels(small)
             .into_iter()
             .map(|(group, k)| {
                 let c = characterize(k.as_ref());

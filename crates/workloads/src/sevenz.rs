@@ -7,12 +7,14 @@
 //! probe host intrusiveness with 1 and 2 threads).
 //!
 //! Here the kernel is our real LZMA implementation (`crate::lzma`),
-//! characterized once per configuration; the [`SevenZBody`] then drives
+//! characterized once per process for each corpus and match-finder
+//! depth ([`LzmaRoundTrip`]); the [`SevenZBody`] then drives
 //! the simulated machine with the measured instruction mix and computes
 //! the same two metrics from simulated time.
 
 use crate::corpus;
 use crate::counter::OpCounter;
+use crate::kernel::{characterize, Kernel};
 use crate::lzma::{self, LzmaConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -47,6 +49,65 @@ impl Default for SevenZConfig {
     }
 }
 
+/// One benchmark iteration as a [`Kernel`]: LZMA-compress the generated
+/// corpus, decompress it and check the bytes come back. Only the
+/// parameters that shape this work are fields, so configurations that
+/// differ in threads or duration share one characterization.
+#[derive(Debug, Clone)]
+pub struct LzmaRoundTrip {
+    /// Corpus size compressed per iteration.
+    pub corpus_len: usize,
+    /// Match-finder depth.
+    pub depth: u32,
+    /// Corpus seed.
+    pub seed: u64,
+}
+
+impl LzmaRoundTrip {
+    /// The round trip one iteration of `cfg` performs.
+    pub fn of(cfg: &SevenZConfig) -> Self {
+        LzmaRoundTrip {
+            corpus_len: cfg.corpus_len,
+            depth: cfg.depth,
+            seed: cfg.seed,
+        }
+    }
+}
+
+impl Kernel for LzmaRoundTrip {
+    fn name(&self) -> &'static str {
+        "7z-bench"
+    }
+
+    /// Returns the compressed length.
+    fn run(&self, ops: &mut OpCounter) -> u64 {
+        let data = corpus::seven_zip_bench(self.corpus_len, self.seed);
+        let packed = lzma::compress(
+            &data,
+            LzmaConfig {
+                depth: self.depth,
+                ..Default::default()
+            },
+            ops,
+        );
+        let restored = lzma::decompress(&packed, data.len(), ops);
+        assert_eq!(restored, data, "compressor kernel must roundtrip");
+        packed.len() as u64
+    }
+
+    fn working_set(&self) -> u64 {
+        // LZMA benchmark working set: corpus + hash chains (~8 bytes per
+        // position) + head table.
+        (self.corpus_len * 9 + (1 << 18)) as u64
+    }
+
+    fn locality(&self) -> f64 {
+        // The head table and the recent window are very hot, so most
+        // accesses are L1 hits; the chain walks provide the cold tail.
+        0.9
+    }
+}
+
 /// One characterized compress+decompress iteration.
 #[derive(Debug, Clone)]
 pub struct SevenZKernel {
@@ -61,39 +122,20 @@ pub struct SevenZKernel {
 }
 
 impl SevenZKernel {
-    /// Run the real compressor once and package the measured work.
+    /// Characterize one iteration of `cfg` (the real compressor runs once
+    /// per distinct [`LzmaRoundTrip`] per process; see [`characterize`]).
     pub fn characterize(cfg: &SevenZConfig) -> SevenZKernel {
-        let data = corpus::seven_zip_bench(cfg.corpus_len, cfg.seed);
-        let mut ops = OpCounter::new();
-        let packed = lzma::compress(
-            &data,
-            LzmaConfig {
-                depth: cfg.depth,
-                ..Default::default()
-            },
-            &mut ops,
-        );
-        let restored = lzma::decompress(&packed, data.len(), &mut ops);
-        assert_eq!(restored, data, "compressor kernel must roundtrip");
-        let ops_per_iter = ops.total();
-        let block = OpBlock {
-            label: "7z-bench".to_string(),
-            counts: ops.to_counts(),
-            // LZMA benchmark working set: corpus + hash chains (~8 bytes
-            // per position) + head table. The head table and the recent
-            // window are very hot, so most accesses are L1 hits; the
-            // chain walks provide the cold tail.
-            working_set: (cfg.corpus_len * 9 + (1 << 18)) as u64,
-            locality: 0.9,
-        };
+        let c = characterize(&LzmaRoundTrip::of(cfg));
         let nominal_solo = vgrid_machine::MachineSpec::core2_duo_6600()
             .cpu_model()
-            .solo_estimate(&block)
+            .solo_estimate(&c.block)
             .duration;
         SevenZKernel {
-            block,
-            ops_per_iter,
-            packed_len: packed.len(),
+            // Round-trip blocks carry no kernel-mode ops, so the block
+            // total is the counter's total.
+            ops_per_iter: c.block.counts.total(),
+            packed_len: c.checksum as usize,
+            block: c.block,
             nominal_solo,
         }
     }

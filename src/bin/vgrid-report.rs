@@ -7,18 +7,25 @@
 //! cargo run --release --bin vgrid-report -- --paper # paper fidelity
 //! ```
 
-use vgrid::core::{calibration, experiments, Fidelity};
+use std::io::{self, Write};
+use std::process::ExitCode;
+use vgrid::core::{calibration, experiments, Fidelity, FigureResult};
 
-fn main() {
-    let fidelity = if std::env::args().any(|a| a == "--paper") {
-        Fidelity::Paper
-    } else {
-        Fidelity::Fast
-    };
+fn write_figures(out: &mut dyn Write, figures: &[FigureResult]) -> io::Result<()> {
+    for fig in figures {
+        writeln!(out, "```text")?;
+        write!(out, "{}", fig.render())?;
+        writeln!(out, "```")?;
+        writeln!(out)?;
+    }
+    Ok(())
+}
 
-    println!("# EXPERIMENTS — paper vs. reproduction");
-    println!();
-    println!(
+fn write_report(out: &mut dyn Write, fidelity: Fidelity) -> io::Result<()> {
+    writeln!(out, "# EXPERIMENTS — paper vs. reproduction")?;
+    writeln!(out)?;
+    writeln!(
+        out,
         "Generated by `cargo run --release --bin vgrid-report{}` \
          (fidelity: {fidelity:?}).",
         if fidelity == Fidelity::Paper {
@@ -26,54 +33,50 @@ fn main() {
         } else {
             ""
         }
-    );
-    println!();
-    println!(
+    )?;
+    writeln!(out)?;
+    writeln!(
+        out,
         "The reproduction targets the *shape* of the paper's results — \
          orderings, rough factors, crossovers — on a simulated testbed \
          (see DESIGN.md). Absolute simulated values are reported where \
          the paper reports absolute values (Figure 4, Table)."
-    );
-    println!();
+    )?;
+    writeln!(out)?;
 
     let figures = experiments::run_paper_suite(fidelity);
 
-    println!("## Calibration summary");
-    println!();
+    writeln!(out, "## Calibration summary")?;
+    writeln!(out)?;
     let entries = calibration::collect(&figures);
-    println!("{}", calibration::render_markdown(&entries));
-    println!(
+    writeln!(out, "{}", calibration::render_markdown(&entries))?;
+    writeln!(
+        out,
         "Median relative deviation from the paper's reported values: **{:.1}%** \
          over {} comparable rows.",
         100.0 * calibration::median_relative_error(&entries),
         entries.len()
-    );
-    println!();
+    )?;
+    writeln!(out)?;
 
-    println!("## Paper figures");
-    println!();
-    for fig in &figures {
-        println!("```text");
-        print!("{}", fig.render());
-        println!("```");
-        println!();
-    }
+    writeln!(out, "## Paper figures")?;
+    writeln!(out)?;
+    write_figures(out, &figures)?;
 
-    println!("## Ablations (the paper's prose claims, tested)");
-    println!();
-    for fig in experiments::run_ablation_suite(fidelity) {
-        println!("```text");
-        print!("{}", fig.render());
-        println!("```");
-        println!();
-    }
+    writeln!(out, "## Ablations (the paper's prose claims, tested)")?;
+    writeln!(out)?;
+    write_figures(out, &experiments::run_ablation_suite(fidelity))?;
 
-    println!("## Extensions (beyond the paper's evaluation)");
-    println!();
-    for fig in experiments::run_extension_suite(fidelity) {
-        println!("```text");
-        print!("{}", fig.render());
-        println!("```");
-        println!();
-    }
+    writeln!(out, "## Extensions (beyond the paper's evaluation)")?;
+    writeln!(out)?;
+    write_figures(out, &experiments::run_extension_suite(fidelity))
+}
+
+fn main() -> ExitCode {
+    let fidelity = if std::env::args().any(|a| a == "--paper") {
+        Fidelity::Paper
+    } else {
+        Fidelity::Fast
+    };
+    vgrid::out::to_stdout(|out| write_report(out, fidelity))
 }

@@ -30,6 +30,7 @@ use std::time::Duration;
 use vgrid::args::{parse, FlagSpec, ParsedArgs};
 use vgrid::core::{experiments, obs, Fidelity};
 use vgrid::grid::{wire, CampaignSpec, ChurnConfig, DeployConfig, PoolConfig, ProjectConfig};
+use vgrid::out::to_stdout;
 use vgrid::serve::{ServeConfig, Server};
 use vgrid::simcore::SimTime;
 use vgrid::vmm::VmmProfile;
@@ -177,13 +178,12 @@ fn campaign_from_spec(spec_path: &str, manifest_path: Option<&str>) -> ExitCode 
     };
     match wire::run_request_json(&body) {
         Ok(manifest) => {
-            if let Some(path) = manifest_path {
-                if let Err(e) = std::fs::write(path, &manifest) {
-                    eprintln!("cannot write manifest to '{path}': {e}");
-                    return ExitCode::FAILURE;
-                }
-            } else {
-                print!("{manifest}");
+            let Some(path) = manifest_path else {
+                return to_stdout(|out| out.write_all(manifest.as_bytes()));
+            };
+            if let Err(e) = std::fs::write(path, &manifest) {
+                eprintln!("cannot write manifest to '{path}': {e}");
+                return ExitCode::FAILURE;
             }
             ExitCode::SUCCESS
         }
@@ -250,45 +250,55 @@ fn campaign(p: &ParsedArgs) -> ExitCode {
         };
         let result = campaign.run();
         let r = &result.reports()[0];
-        println!(
-            "{} deployment, {volunteers} volunteers, {days} days, churn {churn_level}:",
-            r.mode
-        );
-        println!("  validated work units : {}", r.validated_wus);
-        println!("  results returned     : {}", r.results_returned);
-        println!("  bad results          : {}", r.bad_results);
-        println!(
-            "  cpu spent            : {:.1} h",
-            r.cpu_secs_spent / 3600.0
-        );
-        println!("  cpu lost to churn    : {:.1} h", r.cpu_secs_lost / 3600.0);
-        println!(
-            "  image transfer       : {:.1} h",
-            r.image_transfer_secs / 3600.0
-        );
-        println!("  hosts excluded (RAM) : {}", r.hosts_excluded_ram);
-        println!("  migrations           : {}", r.migrations);
-        println!("  efficiency           : {:.3}", r.efficiency);
-        println!("  goodput              : {:.3} ref-CPU s/s", r.goodput);
-        println!(
-            "  cpu wasted           : {:.1} h",
-            r.wasted_cpu_secs / 3600.0
-        );
-        println!("  reissues             : {}", r.reissues);
-        println!("  owner preemptions    : {}", r.owner_preemptions);
-        println!("  sandbox kills        : {}", r.vm_kills);
-        println!("  archetypes           : {}", r.archetype_hosts.len());
-        for (label, count) in &r.archetype_hosts {
-            println!("    {count:>10}  {label}");
-        }
-        println!(
-            "  hydration            : {} windows, {} hydrations, {} memo hits, peak {} resident",
-            r.hydration.windows,
-            r.hydration.hydrations,
-            r.hydration.memo_hits,
-            r.hydration.peak_resident
-        );
-        Ok(ExitCode::SUCCESS)
+        Ok(to_stdout(|out| {
+            writeln!(
+                out,
+                "{} deployment, {volunteers} volunteers, {days} days, churn {churn_level}:",
+                r.mode
+            )?;
+            writeln!(out, "  validated work units : {}", r.validated_wus)?;
+            writeln!(out, "  results returned     : {}", r.results_returned)?;
+            writeln!(out, "  bad results          : {}", r.bad_results)?;
+            writeln!(
+                out,
+                "  cpu spent            : {:.1} h",
+                r.cpu_secs_spent / 3600.0
+            )?;
+            writeln!(
+                out,
+                "  cpu lost to churn    : {:.1} h",
+                r.cpu_secs_lost / 3600.0
+            )?;
+            writeln!(
+                out,
+                "  image transfer       : {:.1} h",
+                r.image_transfer_secs / 3600.0
+            )?;
+            writeln!(out, "  hosts excluded (RAM) : {}", r.hosts_excluded_ram)?;
+            writeln!(out, "  migrations           : {}", r.migrations)?;
+            writeln!(out, "  efficiency           : {:.3}", r.efficiency)?;
+            writeln!(out, "  goodput              : {:.3} ref-CPU s/s", r.goodput)?;
+            writeln!(
+                out,
+                "  cpu wasted           : {:.1} h",
+                r.wasted_cpu_secs / 3600.0
+            )?;
+            writeln!(out, "  reissues             : {}", r.reissues)?;
+            writeln!(out, "  owner preemptions    : {}", r.owner_preemptions)?;
+            writeln!(out, "  sandbox kills        : {}", r.vm_kills)?;
+            writeln!(out, "  archetypes           : {}", r.archetype_hosts.len())?;
+            for (label, count) in &r.archetype_hosts {
+                writeln!(out, "    {count:>10}  {label}")?;
+            }
+            writeln!(
+                out,
+                "  hydration            : {} windows, {} hydrations, {} memo hits, peak {} resident",
+                r.hydration.windows,
+                r.hydration.hydrations,
+                r.hydration.memo_hits,
+                r.hydration.peak_resident
+            )
+        }))
     })())
 }
 
@@ -357,16 +367,12 @@ fn main() -> ExitCode {
                 eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
-            use std::io::Write;
-            let stdout = std::io::stdout();
-            let mut out = stdout.lock();
-            for id in experiments::experiment_ids() {
-                // Ignore broken pipes (e.g. `vgrid list | head`).
-                if writeln!(out, "{id}").is_err() {
-                    break;
+            to_stdout(|out| {
+                for id in experiments::experiment_ids() {
+                    writeln!(out, "{id}")?;
                 }
-            }
-            ExitCode::SUCCESS
+                Ok(())
+            })
         }
         "run" => {
             let flags = with_mode_flags(&[
@@ -400,13 +406,15 @@ fn main() -> ExitCode {
                 };
                 fig
             };
-            if p.switch("--json") {
-                println!("{}", fig.to_json());
-            } else {
-                print!("{}", fig.render());
-            }
+            let code = to_stdout(|out| {
+                if p.switch("--json") {
+                    writeln!(out, "{}", fig.to_json())
+                } else {
+                    write!(out, "{}", fig.render())
+                }
+            });
             report_loop_totals(&p);
-            ExitCode::SUCCESS
+            code
         }
         "trace" => {
             let flags = with_mode_flags(&[FlagSpec::switch("--paper"), FlagSpec::value("--out")]);
@@ -448,11 +456,14 @@ fn main() -> ExitCode {
                 }
             };
             let fid = fidelity(&p);
-            for fig in experiments::run_paper_suite(fid) {
-                println!("{}", fig.render());
-            }
+            let code = to_stdout(|out| {
+                for fig in experiments::run_paper_suite(fid) {
+                    writeln!(out, "{}", fig.render())?;
+                }
+                Ok(())
+            });
             report_loop_totals(&p);
-            ExitCode::SUCCESS
+            code
         }
         "campaign" => {
             let flags = [

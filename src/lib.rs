@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 
 pub mod args;
+pub mod out;
 
 pub use vgrid_core as core;
 pub use vgrid_grid as grid;
