@@ -3,9 +3,9 @@
 //!
 //! The sweep mirrors the `grid-churn` experiment's fast-fidelity shape
 //! (4 churn levels x {native, vm, vm no-ckpt} x 3 repetitions). The
-//! `churn_sweep_off` row pins the cold baseline: `force_no_fastforward`
-//! makes every campaign re-measure its hydration probes, re-solve its
-//! contention segments and replay from t=0. The `churn_sweep_on` row
+//! `churn_sweep_off` row pins the cold baseline: `RunOptions` with
+//! `fastforward(false)` makes every campaign re-measure its hydration
+//! probes, re-solve its contention segments and replay from t=0. The `churn_sweep_on` row
 //! times the same sweep with the process-global segment-solution and
 //! prefix-trajectory caches live (the harness's warm-up pass populates
 //! them, exactly like the second and later sweeps of a registry run).
@@ -16,8 +16,7 @@
 
 use criterion::{criterion_group, criterion_main, report_metric, Criterion};
 use vgrid_grid::{
-    force_no_fastforward, CampaignSpec, ChurnConfig, DeployConfig, GridReport, PoolConfig,
-    ProjectConfig,
+    CampaignSpec, ChurnConfig, DeployConfig, GridReport, PoolConfig, ProjectConfig, RunOptions,
 };
 use vgrid_simcore::{SimDuration, SimTime};
 use vgrid_vmm::VmmProfile;
@@ -36,7 +35,7 @@ fn deployments() -> Vec<(&'static str, DeployConfig)> {
     ]
 }
 
-fn run_sweep() -> Vec<GridReport> {
+fn run_sweep(options: &RunOptions) -> Vec<GridReport> {
     let project = ProjectConfig {
         workunits: 50_000,
         wu_ref_secs: 2.0 * 3600.0,
@@ -61,7 +60,7 @@ fn run_sweep() -> Vec<GridReport> {
                 .horizon(horizon)
                 .build()
                 .expect("valid sweep point");
-            reports.extend(campaign.run().reports().iter().cloned());
+            reports.extend(campaign.run_with(options).reports().iter().cloned());
         }
     }
     reports
@@ -86,16 +85,16 @@ fn bench_fastforward(c: &mut Criterion) {
 
     // Cold baseline: the kill switch keeps every iteration from reading
     // or writing the process-global caches.
-    force_no_fastforward(true);
-    let cold = run_sweep();
-    group.bench_function("churn_sweep_off", |b| b.iter(run_sweep));
+    let off = RunOptions::default().fastforward(false);
+    let cold = run_sweep(&off);
+    group.bench_function("churn_sweep_off", |b| b.iter(|| run_sweep(&off)));
 
     // Warm path: the harness's untimed warm-up pass populates the
     // caches; the timed samples then reuse them, like the second and
     // later sweeps over the same registry shape.
-    force_no_fastforward(false);
-    let warm = run_sweep();
-    group.bench_function("churn_sweep_on", |b| b.iter(run_sweep));
+    let on = RunOptions::default();
+    let warm = run_sweep(&on);
+    group.bench_function("churn_sweep_on", |b| b.iter(|| run_sweep(&on)));
     group.finish();
 
     let digest_off = sweep_digest(&cold);

@@ -240,10 +240,10 @@ impl TrialSpec {
     }
 
     /// Cache identity: everything but the display label. The scheduler
-    /// execution mode is part of the identity — a result computed under
-    /// the per-quantum reference must not be served to a fast-path run
-    /// of the same spec (they are bit-identical by contract, but the
-    /// equivalence suite is exactly the place that must not assume so).
+    /// execution mode is part of the identity. One engine runs one
+    /// mode, so within a cache the axis is constant; it stays because
+    /// run manifests digest these keys (`config_digest`), which is how
+    /// a manifest records the mode its trials ran under.
     ///
     /// The grid *host substrate* (`--hydrated-reference`, see
     /// `vgrid_grid::SubstrateMode`) is deliberately NOT part of the
@@ -381,54 +381,54 @@ impl TrialResult {
 }
 
 /// Materializes [`TrialSpec`]s into [`TrialResult`]s; see the module
-/// docs for the parallelism, caching and determinism contract.
+/// docs for the parallelism, caching and determinism contract. An
+/// engine owns its [`RunOptions`] for its whole lifetime: every trial
+/// it runs uses them, so one engine is one execution mode.
 #[derive(Debug, Default)]
 pub struct Engine {
     cache: Mutex<DetMap<TrialKey, TrialResult>>,
+    options: RunOptions,
 }
 
 impl Engine {
-    /// An engine with an empty cache.
+    /// An engine with an empty cache and the default options.
     pub fn new() -> Self {
         Engine::default()
     }
 
+    /// An engine with an empty cache running every trial under
+    /// `options` (the `vgrid` CLI builds them from its mode flags).
+    pub fn with_options(options: RunOptions) -> Self {
+        Engine {
+            options,
+            ..Engine::default()
+        }
+    }
+
     /// The process-wide engine used by the `run(fidelity)` entry points;
     /// its cache is what lets multi-figure experiments share baselines.
+    /// It runs the default options.
     pub fn global() -> &'static Engine {
         static GLOBAL: OnceLock<Engine> = OnceLock::new();
         GLOBAL.get_or_init(Engine::new)
     }
 
+    /// The execution options every trial of this engine runs under.
+    pub fn options(&self) -> &RunOptions {
+        &self.options
+    }
+
     /// Run every spec, fanning all repetitions of all uncached trials
-    /// out over the scoped thread pool. Execution options come from the
-    /// deprecated process globals ([`RunOptions::from_globals`]); new
-    /// callers should prefer [`Engine::run_trials_with`].
+    /// out over the scoped thread pool.
     pub fn run_trials(&self, specs: &[TrialSpec]) -> Vec<TrialResult> {
-        self.run_impl(specs, true, &RunOptions::from_globals())
+        self.run_impl(specs, true)
     }
 
     /// Sequential twin of [`Engine::run_trials`]: same seeds, same fold
     /// order, one thread. Exists so tests can pin the parallel path to
     /// bit-identical statistics.
     pub fn run_trials_seq(&self, specs: &[TrialSpec]) -> Vec<TrialResult> {
-        self.run_impl(specs, false, &RunOptions::from_globals())
-    }
-
-    /// [`Engine::run_trials`] with explicit execution options instead of
-    /// the ambient process globals, so concurrent callers (the serve
-    /// worker pool) can run different modes side by side.
-    pub fn run_trials_with(&self, specs: &[TrialSpec], options: &RunOptions) -> Vec<TrialResult> {
-        self.run_impl(specs, true, options)
-    }
-
-    /// Sequential twin of [`Engine::run_trials_with`].
-    pub fn run_trials_seq_with(
-        &self,
-        specs: &[TrialSpec],
-        options: &RunOptions,
-    ) -> Vec<TrialResult> {
-        self.run_impl(specs, false, options)
+        self.run_impl(specs, false)
     }
 
     /// Convenience for a single spec.
@@ -438,12 +438,8 @@ impl Engine {
             .expect("one spec yields one result")
     }
 
-    fn run_impl(
-        &self,
-        specs: &[TrialSpec],
-        parallel: bool,
-        options: &RunOptions,
-    ) -> Vec<TrialResult> {
+    fn run_impl(&self, specs: &[TrialSpec], parallel: bool) -> Vec<TrialResult> {
+        let options = &self.options;
         // Observed runs publish per-repetition telemetry as jobs
         // complete; run them sequentially so publication order is the
         // deterministic job order rather than thread-scheduling order.
@@ -531,8 +527,6 @@ impl ThreadBody for Hog {
 }
 
 fn system_for(spec: &TrialSpec, seed: u64, options: &RunOptions) -> System {
-    // `testbed` snapshots the deprecated scheduler global; the options
-    // value is authoritative here so concurrent runs can differ.
     let base = SystemConfig {
         coalesce: !options.per_quantum_reference(),
         ..SystemConfig::testbed(seed)
@@ -1029,10 +1023,11 @@ mod tests {
                 .churn(churn.clone())
                 .seed(seed)
                 .horizon(SimTime::from_secs(days * 24 * 3600))
-                .hydrated_reference(true)
                 .build()
                 .expect("valid spec")
-                .run_seq()
+                .run_seq_with(
+                    &RunOptions::default().substrate(vgrid_grid::SubstrateMode::HydratedReference),
+                )
                 .reports()[0]
                 .clone()
         };

@@ -32,6 +32,7 @@ pub mod gridx;
 pub mod memfoot;
 pub mod timing;
 
+use crate::engine::Engine;
 use crate::figures::FigureResult;
 use crate::testbed::Fidelity;
 
@@ -74,52 +75,52 @@ pub fn run_extension_suite(fidelity: Fidelity) -> Vec<FigureResult> {
     ]
 }
 
-type Runner = fn(Fidelity) -> FigureResult;
+type Runner = fn(&Engine, Fidelity) -> FigureResult;
 
-fn run_fig5(fidelity: Fidelity) -> FigureResult {
-    fig56::run(fidelity).0
+fn run_fig5(engine: &Engine, fidelity: Fidelity) -> FigureResult {
+    fig56::run_with(engine, fidelity).0
 }
-fn run_fig6(fidelity: Fidelity) -> FigureResult {
-    fig56::run(fidelity).1
+fn run_fig6(engine: &Engine, fidelity: Fidelity) -> FigureResult {
+    fig56::run_with(engine, fidelity).1
 }
-fn run_figfp(fidelity: Fidelity) -> FigureResult {
-    fig56::run(fidelity).2
+fn run_figfp(engine: &Engine, fidelity: Fidelity) -> FigureResult {
+    fig56::run_with(engine, fidelity).2
 }
-fn run_fig7(fidelity: Fidelity) -> FigureResult {
-    fig78::run(fidelity).0
+fn run_fig7(engine: &Engine, fidelity: Fidelity) -> FigureResult {
+    fig78::run_with(engine, fidelity).0
 }
-fn run_fig8(fidelity: Fidelity) -> FigureResult {
-    fig78::run(fidelity).1
+fn run_fig8(engine: &Engine, fidelity: Fidelity) -> FigureResult {
+    fig78::run_with(engine, fidelity).1
 }
-fn run_tab_mem(_fidelity: Fidelity) -> FigureResult {
-    memfoot::run()
+fn run_tab_mem(engine: &Engine, _fidelity: Fidelity) -> FigureResult {
+    memfoot::run_with(engine)
 }
 
 /// The single source of truth for the experiment registry: `(id,
 /// runner)` in presentation order. [`experiment_ids`] and [`run_by_id`]
 /// both derive from this table, so they cannot drift apart.
 const REGISTRY: &[(&str, Runner)] = &[
-    ("fig1", fig1::run),
-    ("fig2", fig2::run),
-    ("fig3", fig3::run),
-    ("fig4", fig4::run),
+    ("fig1", fig1::run_with),
+    ("fig2", fig2::run_with),
+    ("fig3", fig3::run_with),
+    ("fig4", fig4::run_with),
     ("fig5", run_fig5),
     ("fig6", run_fig6),
     ("figfp", run_figfp),
     ("fig7", run_fig7),
     ("fig8", run_fig8),
     ("tab-mem", run_tab_mem),
-    ("abl-prio", ablations::priority_sweep),
-    ("abl-cores", ablations::single_core),
-    ("abl-l2", ablations::shared_l2),
-    ("abl-bt", ablations::bt_tradeoff),
-    ("abl-lzma", ablations::lzma_depth_sweep),
-    ("abl-quad", ablations::quad_core),
-    ("grid-tradeoff", gridx::run),
-    ("grid-image", gridx::image_size_sweep),
-    ("grid-migration", gridx::migration_comparison),
-    ("grid-churn", gridchurn::run),
-    ("timing-method", timing::run),
+    ("abl-prio", ablations::priority_sweep_with),
+    ("abl-cores", ablations::single_core_with),
+    ("abl-l2", ablations::shared_l2_with),
+    ("abl-bt", ablations::bt_tradeoff_with),
+    ("abl-lzma", ablations::lzma_depth_sweep_with),
+    ("abl-quad", ablations::quad_core_with),
+    ("grid-tradeoff", gridx::run_with),
+    ("grid-image", gridx::image_size_sweep_with),
+    ("grid-migration", gridx::migration_comparison_with),
+    ("grid-churn", gridchurn::run_with),
+    ("timing-method", timing::run_with),
 ];
 
 /// Every experiment id the registry knows, in presentation order.
@@ -127,13 +128,14 @@ pub fn experiment_ids() -> Vec<&'static str> {
     REGISTRY.iter().map(|(id, _)| *id).collect()
 }
 
-/// Run one experiment by id. Multi-figure experiments return the single
-/// requested figure. Returns `None` for an unknown id.
-pub fn run_by_id(id: &str, fidelity: Fidelity) -> Option<FigureResult> {
+/// Run one experiment by id on `engine` (and so under its
+/// `RunOptions`). Multi-figure experiments return the single requested
+/// figure. Returns `None` for an unknown id.
+pub fn run_by_id(engine: &Engine, id: &str, fidelity: Fidelity) -> Option<FigureResult> {
     REGISTRY
         .iter()
         .find(|(known, _)| *known == id)
-        .map(|(_, runner)| runner(fidelity))
+        .map(|(_, runner)| runner(engine, fidelity))
 }
 
 #[cfg(test)]
@@ -142,8 +144,8 @@ mod registry_tests {
 
     #[test]
     fn unknown_id_is_none() {
-        assert!(run_by_id("fig99", Fidelity::Fast).is_none());
-        assert!(run_by_id("", Fidelity::Fast).is_none());
+        assert!(run_by_id(Engine::global(), "fig99", Fidelity::Fast).is_none());
+        assert!(run_by_id(Engine::global(), "", Fidelity::Fast).is_none());
     }
 
     #[test]
@@ -157,7 +159,8 @@ mod registry_tests {
         // figure it names (cheap in one test process: the engine cache
         // already holds most trials from the per-module tests)...
         for id in &ids {
-            let fig = run_by_id(id, Fidelity::Fast).expect("listed id must resolve");
+            let fig =
+                run_by_id(Engine::global(), id, Fidelity::Fast).expect("listed id must resolve");
             assert_eq!(fig.id, *id, "runner for {id} produced {}", fig.id);
         }
         // ...and `run_by_id` knows no ids beyond the listed ones: both

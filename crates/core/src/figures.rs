@@ -6,6 +6,8 @@
 //! shape of the original figures) and serialize to JSON for
 //! EXPERIMENTS.md regeneration.
 
+use vgrid_simobs::json;
+
 /// One bar/row of a figure.
 #[derive(Debug, Clone)]
 pub struct FigureRow {
@@ -166,349 +168,6 @@ impl FigureResult {
         out.push_str("  ]\n}");
         out
     }
-
-    /// Deserialize from JSON.
-    pub fn from_json(s: &str) -> Result<Self, json::ParseError> {
-        let value = json::parse(s)?;
-        let obj = value.as_object()?;
-        let mut fig = FigureResult::new(
-            obj.get_str("id")?,
-            obj.get_str("title")?,
-            obj.get_str("unit")?,
-        );
-        for row in obj.get_array("rows")? {
-            let r = row.as_object()?;
-            fig.push(FigureRow {
-                label: r.get_str("label")?.to_string(),
-                value: r.get_number("value")?,
-                paper: r.get_opt_number("paper")?,
-                detail: r.get_opt_str("detail")?.map(str::to_string),
-            });
-        }
-        for note in obj.get_array("notes")? {
-            fig.note(note.as_str()?);
-        }
-        Ok(fig)
-    }
-}
-
-/// Minimal JSON emit/parse support for [`FigureResult`] — enough for the
-/// well-formed documents this crate itself produces, with no external
-/// dependencies.
-pub mod json {
-    use std::collections::BTreeMap;
-    use std::fmt;
-
-    /// Error raised when a document cannot be parsed as a figure.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct ParseError(pub String);
-
-    impl fmt::Display for ParseError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "JSON parse error: {}", self.0)
-        }
-    }
-
-    impl std::error::Error for ParseError {}
-
-    fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError(msg.into()))
-    }
-
-    /// Escape and quote a string.
-    pub fn string(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    /// Format a finite f64 so it round-trips exactly.
-    pub fn number(v: f64) -> String {
-        if v.is_finite() {
-            let short = format!("{v}");
-            if short.parse::<f64>() == Ok(v) {
-                short
-            } else {
-                format!("{v:e}")
-            }
-        } else {
-            // JSON has no Inf/NaN; null is the conventional stand-in.
-            "null".to_string()
-        }
-    }
-
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Number(f64),
-        String(String),
-        Array(Vec<Value>),
-        Object(BTreeMap<String, Value>),
-    }
-
-    /// Typed accessor wrapper over an object map.
-    pub struct Object<'a>(&'a BTreeMap<String, Value>);
-
-    impl Value {
-        pub fn as_object(&self) -> Result<Object<'_>, ParseError> {
-            match self {
-                Value::Object(m) => Ok(Object(m)),
-                other => err(format!("expected object, found {other:?}")),
-            }
-        }
-
-        pub fn as_str(&self) -> Result<&str, ParseError> {
-            match self {
-                Value::String(s) => Ok(s),
-                other => err(format!("expected string, found {other:?}")),
-            }
-        }
-    }
-
-    impl Object<'_> {
-        fn get(&self, key: &str) -> Result<&Value, ParseError> {
-            match self.0.get(key) {
-                Some(v) => Ok(v),
-                None => err(format!("missing key {key:?}")),
-            }
-        }
-
-        pub fn get_str(&self, key: &str) -> Result<&str, ParseError> {
-            self.get(key)?.as_str()
-        }
-
-        pub fn get_opt_str(&self, key: &str) -> Result<Option<&str>, ParseError> {
-            match self.0.get(key) {
-                None | Some(Value::Null) => Ok(None),
-                Some(v) => v.as_str().map(Some),
-            }
-        }
-
-        pub fn get_number(&self, key: &str) -> Result<f64, ParseError> {
-            match self.get(key)? {
-                Value::Number(n) => Ok(*n),
-                other => err(format!("expected number at {key:?}, found {other:?}")),
-            }
-        }
-
-        pub fn get_opt_number(&self, key: &str) -> Result<Option<f64>, ParseError> {
-            match self.0.get(key) {
-                None | Some(Value::Null) => Ok(None),
-                Some(Value::Number(n)) => Ok(Some(*n)),
-                Some(other) => err(format!("expected number at {key:?}, found {other:?}")),
-            }
-        }
-
-        pub fn get_array(&self, key: &str) -> Result<&[Value], ParseError> {
-            match self.get(key)? {
-                Value::Array(items) => Ok(items),
-                other => err(format!("expected array at {key:?}, found {other:?}")),
-            }
-        }
-    }
-
-    /// Parse a JSON document.
-    pub fn parse(s: &str) -> Result<Value, ParseError> {
-        let mut p = Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return err("trailing characters after document");
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-
-        fn peek(&mut self) -> Result<u8, ParseError> {
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(&b) => Ok(b),
-                None => err("unexpected end of input"),
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-            if self.peek()? == b {
-                self.pos += 1;
-                Ok(())
-            } else {
-                err(format!("expected {:?} at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(v)
-            } else {
-                err(format!("invalid literal at byte {}", self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, ParseError> {
-            match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => Ok(Value::String(self.string()?)),
-                b't' => self.literal("true", Value::Bool(true)),
-                b'f' => self.literal("false", Value::Bool(false)),
-                b'n' => self.literal("null", Value::Null),
-                _ => self.number_value(),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, ParseError> {
-            self.expect(b'{')?;
-            let mut map = BTreeMap::new();
-            if self.peek()? == b'}' {
-                self.pos += 1;
-                return Ok(Value::Object(map));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                let val = self.value()?;
-                map.insert(key, val);
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b'}' => {
-                        self.pos += 1;
-                        return Ok(Value::Object(map));
-                    }
-                    _ => return err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, ParseError> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek()? == b']' {
-                self.pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b']' => {
-                        self.pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    _ => return err(format!("expected ',' or ']' at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, ParseError> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.bytes.get(self.pos) {
-                    None => return err("unterminated string"),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        let esc = self
-                            .bytes
-                            .get(self.pos)
-                            .copied()
-                            .ok_or_else(|| ParseError("unterminated escape".into()))?;
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'b' => out.push('\u{0008}'),
-                            b'f' => out.push('\u{000c}'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .ok_or_else(|| ParseError("truncated \\u escape".into()))?;
-                                self.pos += 4;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex)
-                                        .map_err(|_| ParseError("bad \\u escape".into()))?,
-                                    16,
-                                )
-                                .map_err(|_| ParseError("bad \\u escape".into()))?;
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| ParseError("bad \\u code point".into()))?,
-                                );
-                            }
-                            _ => return err("unknown escape"),
-                        }
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 character.
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| ParseError("invalid UTF-8".into()))?;
-                        let c = rest.chars().next().unwrap();
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number_value(&mut self) -> Result<Value, ParseError> {
-            let start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| ParseError("invalid number".into()))?;
-            match text.parse::<f64>() {
-                Ok(n) => Ok(Value::Number(n)),
-                Err(_) => err(format!("invalid number {text:?}")),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -548,12 +207,38 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let f = sample();
-        let back = FigureResult::from_json(&f.to_json()).unwrap();
-        assert_eq!(back.id, f.id);
-        assert_eq!(back.rows.len(), f.rows.len());
-        assert_eq!(back.rows[1].paper, Some(1.15));
+    fn to_json_is_pinned_byte_for_byte() {
+        // EXPERIMENTS.md and `vgrid run --json` are gated on these
+        // bytes: key order, indentation, shortest round-trip floats.
+        let expected = r#"{
+  "id": "fig1",
+  "title": "Relative performance of 7z",
+  "unit": "slowdown",
+  "rows": [
+    {
+      "label": "native",
+      "value": 1,
+      "paper": 1,
+      "detail": null
+    },
+    {
+      "label": "VMwarePlayer",
+      "value": 1.16,
+      "paper": 1.15,
+      "detail": null
+    },
+    {
+      "label": "QEMU",
+      "value": 2.2,
+      "paper": 2.2,
+      "detail": "kqemu enabled"
+    }
+  ],
+  "notes": [
+    "50 repetitions"
+  ]
+}"#;
+        assert_eq!(sample().to_json(), expected);
     }
 
     #[test]

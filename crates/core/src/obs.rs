@@ -19,7 +19,7 @@
 
 use std::sync::Mutex;
 
-use crate::engine::DEFAULT_BASE_SEED;
+use crate::engine::{Engine, DEFAULT_BASE_SEED};
 use crate::experiments;
 use crate::figures::FigureResult;
 use crate::testbed::Fidelity;
@@ -173,14 +173,6 @@ fn fidelity_name(fidelity: Fidelity) -> &'static str {
     }
 }
 
-fn scheduler_mode_name() -> &'static str {
-    if vgrid_os::per_quantum_reference_forced() {
-        "per-quantum-reference"
-    } else {
-        "coalesced"
-    }
-}
-
 /// Bench scenarios (`BENCH_engine.json`) exercising the same simulation
 /// substrate as an experiment, for cross-referencing regressions.
 fn bench_links(id: &str) -> Vec<String> {
@@ -196,14 +188,14 @@ fn bench_links(id: &str) -> Vec<String> {
     links.iter().map(|s| s.to_string()).collect()
 }
 
-/// Run an experiment by id with observation enabled; returns the figure
-/// plus rendered manifest and trace documents, or `None` for an unknown
-/// id. Output is a pure function of `(id, fidelity, scheduler mode,
-/// engine cache state)`; a fresh process renders byte-identical
-/// documents for the same invocation.
-pub fn run_observed(id: &str, fidelity: Fidelity) -> Option<ObservedRun> {
+/// Run an experiment by id on `engine` with observation enabled;
+/// returns the figure plus rendered manifest and trace documents, or
+/// `None` for an unknown id. Output is a pure function of `(id,
+/// fidelity, engine options, engine cache state)`; a fresh engine
+/// renders byte-identical documents for the same invocation.
+pub fn run_observed(engine: &Engine, id: &str, fidelity: Fidelity) -> Option<ObservedRun> {
     begin_capture();
-    let figure = experiments::run_by_id(id, fidelity);
+    let figure = experiments::run_by_id(engine, id, fidelity);
     let cap = take_capture().unwrap_or_default();
     let figure = figure?;
 
@@ -250,7 +242,7 @@ pub fn run_observed(id: &str, fidelity: Fidelity) -> Option<ObservedRun> {
     let manifest = RunManifest {
         experiment: id.to_string(),
         fidelity: fidelity_name(fidelity).to_string(),
-        scheduler_mode: scheduler_mode_name().to_string(),
+        scheduler_mode: engine.options().scheduler.name().to_string(),
         seed: DEFAULT_BASE_SEED,
         config_digest: config_digest(&cap.trial_keys),
         trials: cap.trial_labels,
@@ -297,7 +289,7 @@ mod tests {
         // only partially; fig1 exercises the System path. Two observed
         // runs in one process differ only through cache hits, which the
         // manifest records — so compare a cache-cold run against itself.
-        let a = run_observed("fig1", Fidelity::Fast).expect("fig1 exists");
+        let a = run_observed(Engine::global(), "fig1", Fidelity::Fast).expect("fig1 exists");
         assert!(a.manifest_json.contains("\"experiment\":\"fig1\""));
         assert!(a.manifest_json.contains("\"scheduler_mode\":\"coalesced\""));
         assert!(a.trace_json.starts_with("{\"displayTimeUnit\":\"ms\""));
@@ -306,7 +298,7 @@ mod tests {
 
     #[test]
     fn unknown_id_disarms_capture() {
-        assert!(run_observed("not-an-experiment", Fidelity::Fast).is_none());
+        assert!(run_observed(Engine::global(), "not-an-experiment", Fidelity::Fast).is_none());
         assert!(!capturing());
     }
 }

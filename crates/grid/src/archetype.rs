@@ -184,17 +184,11 @@ pub fn memoized_vm_cpu_factor(mode: &ExecutionMode) -> f64 {
 
 /// Solve an archetype's segment constants, memoizing the expensive
 /// machine-model dilation per deploy mode (the batched substrate).
-/// With fast-forward enabled the whole solution — dilation *and*
-/// checkpoint fraction — comes from the process-wide segment-solution
-/// cache (keyed per contention-steady configuration); the kill switch
-/// falls back to the per-mode dilation memo alone.
-pub fn solve(deploy: &DeployConfig) -> SegmentSolution {
-    solve_with(deploy, crate::fastforward::enabled())
-}
-
-/// [`solve`] with the fast-forward switch threaded as a value instead
-/// of read from the process global, so concurrent runs can differ in
-/// mode (`RunOptions::fastforward`).
+/// With `fastforward` on (`RunOptions::fastforward`) the whole
+/// solution — dilation *and* checkpoint fraction — comes from the
+/// process-wide segment-solution cache (keyed per contention-steady
+/// configuration); the kill switch falls back to the per-mode dilation
+/// memo alone.
 pub fn solve_with(deploy: &DeployConfig, fastforward: bool) -> SegmentSolution {
     if fastforward {
         return crate::fastforward::segment_solution(deploy);
@@ -229,19 +223,12 @@ mod tests {
             DeployConfig::vm(VmmProfile::vmplayer(), 300 << 20),
         ] {
             let direct = solve_direct(&deploy);
-            // Twice: a cold miss and a warm hit must both agree.
-            assert_eq!(
-                solve(&deploy).vm_factor.to_bits(),
-                direct.vm_factor.to_bits()
-            );
-            assert_eq!(
-                solve(&deploy).vm_factor.to_bits(),
-                direct.vm_factor.to_bits()
-            );
-            assert_eq!(
-                solve(&deploy).ckpt_frac.to_bits(),
-                direct.ckpt_frac.to_bits()
-            );
+            // Twice per arm: a cold miss and a warm hit must both agree.
+            for fastforward in [false, true, false, true] {
+                let memo = solve_with(&deploy, fastforward);
+                assert_eq!(memo.vm_factor.to_bits(), direct.vm_factor.to_bits());
+                assert_eq!(memo.ckpt_frac.to_bits(), direct.ckpt_frac.to_bits());
+            }
         }
     }
 

@@ -27,7 +27,7 @@ use crate::error::Error;
 use crate::faults::ChurnConfig;
 use crate::model::{DeployConfig, ExecutionMode, GridReport, PoolConfig, ProjectConfig};
 use crate::options::RunOptions;
-use crate::sim::{run_campaign_substrate, vm_cpu_factor, SubstrateMode};
+use crate::sim::run_campaign_substrate;
 use vgrid_simcore::{OnlineStats, RepetitionRunner, SimTime, Summary};
 
 /// Base seed used when the spec does not set one; matches the engine's
@@ -100,11 +100,6 @@ pub struct CampaignSpec {
     pub repetitions: u32,
     /// Simulated-time horizon.
     pub horizon: SimTime,
-    /// Run on the reference substrate (flat event queue, unmemoized
-    /// solver) instead of the archetype-batched default. Bit-identical
-    /// results by contract — this flag exists so that contract can be
-    /// tested.
-    pub hydrated_reference: bool,
 }
 
 impl CampaignSpec {
@@ -120,7 +115,6 @@ impl CampaignSpec {
             seed: DEFAULT_SEED,
             repetitions: 1,
             horizon: SimTime::from_secs(30 * 24 * 3600),
-            hydrated_reference: false,
         }
     }
 
@@ -163,13 +157,6 @@ impl CampaignSpec {
     /// Set the simulated-time horizon.
     pub fn horizon(mut self, horizon: SimTime) -> Self {
         self.horizon = horizon;
-        self
-    }
-
-    /// Run on the reference substrate (see the field doc). The grid
-    /// twin of the engine's `--per-quantum-reference`.
-    pub fn hydrated_reference(mut self, on: bool) -> Self {
-        self.hydrated_reference = on;
         self
     }
 
@@ -245,12 +232,8 @@ impl CampaignSpec {
         // inside the reissue deadline, or every copy expires forever.
         // The memoized factor is bit-identical to the direct one (the
         // memo caches solver inputs only), so validation agrees with
-        // the simulation regardless of the fast-forward switch.
-        let vm_factor = if crate::fastforward::enabled() {
-            crate::archetype::memoized_vm_cpu_factor(&self.deploy.mode)
-        } else {
-            vm_cpu_factor(&self.deploy.mode)
-        };
+        // the simulation under every `RunOptions`.
+        let vm_factor = crate::archetype::memoized_vm_cpu_factor(&self.deploy.mode);
         let state_bytes = match &self.deploy.mode {
             ExecutionMode::Native => self.deploy.native_checkpoint_bytes,
             ExecutionMode::Vm(vmm) => vmm.guest_ram,
@@ -304,11 +287,6 @@ impl Campaign {
     }
 
     fn run_rep(&self, rep: u32, options: &RunOptions) -> GridReport {
-        let substrate = if self.spec.hydrated_reference {
-            SubstrateMode::HydratedReference
-        } else {
-            options.substrate
-        };
         run_campaign_substrate(
             &self.spec.project,
             &self.spec.pool,
@@ -316,28 +294,24 @@ impl Campaign {
             &self.spec.churn,
             self.seed_for(rep),
             self.spec.horizon,
-            substrate,
-            options.fastforward,
+            options,
         )
+    }
+
+    /// [`Campaign::run_with`] under the default [`RunOptions`].
+    pub fn run(&self) -> CampaignResult {
+        self.run_with(&RunOptions::default())
+    }
+
+    /// [`Campaign::run_seq_with`] under the default [`RunOptions`].
+    pub fn run_seq(&self) -> CampaignResult {
+        self.run_seq_with(&RunOptions::default())
     }
 
     /// Run all repetitions on scoped threads; statistics fold in
     /// repetition order, so the result is bit-identical to
-    /// [`Campaign::run_seq`]. Deprecated-shim entry point: snapshots
-    /// the process-global mode toggles into a [`RunOptions`].
-    pub fn run(&self) -> CampaignResult {
-        self.run_with(&RunOptions::from_globals())
-    }
-
-    /// Run all repetitions on the calling thread, with the mode
-    /// switches taken from the process globals.
-    pub fn run_seq(&self) -> CampaignResult {
-        self.run_seq_with(&RunOptions::from_globals())
-    }
-
-    /// Run all repetitions on scoped threads under explicit typed
-    /// options — the entry point concurrent server requests use, so
-    /// requests can differ in mode without touching process state.
+    /// [`Campaign::run_seq_with`]. The options are a per-call value, so
+    /// concurrent server requests can differ in mode.
     pub fn run_with(&self, options: &RunOptions) -> CampaignResult {
         let reps = self.spec.repetitions.max(1);
         if reps == 1 {
@@ -418,6 +392,7 @@ impl CampaignResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::SubstrateMode;
     use vgrid_simcore::SimDuration;
     use vgrid_vmm::VmmProfile;
 
@@ -514,8 +489,7 @@ mod tests {
             &ChurnConfig::off(),
             9,
             spec.horizon,
-            SubstrateMode::Batched,
-            true,
+            &RunOptions::default(),
         );
         assert_eq!(via_campaign, direct);
     }
@@ -523,9 +497,46 @@ mod tests {
     #[test]
     fn hydrated_reference_spec_is_bit_identical() {
         let spec = quick_spec().churn(ChurnConfig::intensity(1.0)).seed(17);
-        let batched = spec.clone().build().unwrap().run();
-        let reference = spec.hydrated_reference(true).build().unwrap().run();
+        let campaign = spec.build().unwrap();
+        let batched = campaign.run();
+        let reference =
+            campaign.run_with(&RunOptions::default().substrate(SubstrateMode::HydratedReference));
         assert_eq!(batched.reports(), reference.reports());
+    }
+
+    #[test]
+    fn events_past_the_time_range_never_fire() {
+        // A reissue deadline reaching past the picosecond range, and
+        // owner sessions that never end, schedule events beyond
+        // `SimTime::MAX`. They must saturate onto that sentinel, which
+        // no horizon reaches, instead of panicking mid-run.
+        let day = SimTime::from_secs(24 * 3600);
+        let long_deadline = CampaignSpec::new("deadline")
+            .project(ProjectConfig {
+                workunits: 40,
+                deadline: SimDuration::from_secs(18_440_000),
+                ..Default::default()
+            })
+            .pool(PoolConfig {
+                volunteers: 4,
+                ..Default::default()
+            })
+            .horizon(day);
+        let endless_owner = quick_spec()
+            .churn(ChurnConfig {
+                owner_arrival_mean_secs: 100.0,
+                owner_session_mean_secs: 1e30,
+                ..ChurnConfig::off()
+            })
+            .horizon(day);
+        for spec in [long_deadline, endless_owner] {
+            let campaign = spec.build().expect("valid spec");
+            let batched = campaign.run();
+            let reference = campaign
+                .run_with(&RunOptions::default().substrate(SubstrateMode::HydratedReference));
+            assert_eq!(batched.reports(), reference.reports(), "{}", batched.label);
+            assert!(batched.reports()[0].makespan_secs <= day.as_secs_f64());
+        }
     }
 
     #[test]

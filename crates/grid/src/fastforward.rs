@@ -26,16 +26,17 @@
 //!    allocations per trial.
 //!
 //! Everything here is behaviour-transparent by contract: the
-//! `--hydrated-reference` substrate and the `--no-fastforward` kill
-//! switch bypass every cache, and the equivalence suites plus
-//! `bench.sh --check` pin the fast path bit-identical to both.
+//! hydrated-reference substrate and the kill switch
+//! (`RunOptions::fastforward`, `--no-fastforward` on the CLI) bypass
+//! every cache, and the equivalence suites plus `bench.sh --check` pin
+//! the fast path bit-identical to both.
 
 use crate::faults::ChurnConfig;
 use crate::model::{DeployConfig, ExecutionMode, PoolConfig, ProjectConfig};
 use crate::sim::{CampaignCheckpoint, HostSlot, TaskCopy, Work};
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use vgrid_simcore::{DetMap, SimTime};
 use vgrid_simobs::fnv1a64;
@@ -53,20 +54,6 @@ const TRAJECTORY_HORIZON_CAP: usize = 4;
 /// Pools larger than this are never snapshotted: a million-host
 /// checkpoint would cost more memory than the replay it saves.
 const TRAJECTORY_MAX_HOSTS: usize = 20_000;
-
-static FORCE_NO_FASTFORWARD: AtomicBool = AtomicBool::new(false);
-
-/// Disable every fast-forward layer for subsequent campaigns — the
-/// `--no-fastforward` CLI flag and the bench harness's "off" arm. The
-/// grid twin of `vgrid_os::force_per_quantum_reference`.
-pub fn force_no_fastforward(on: bool) {
-    FORCE_NO_FASTFORWARD.store(on, Ordering::SeqCst);
-}
-
-/// Whether the fast-forward layers are active (the default).
-pub fn enabled() -> bool {
-    !FORCE_NO_FASTFORWARD.load(Ordering::SeqCst)
-}
 
 static SEGMENT_HITS: AtomicU64 = AtomicU64::new(0);
 static SEGMENT_MISSES: AtomicU64 = AtomicU64::new(0);

@@ -71,11 +71,11 @@ pub use campaign::{Campaign, CampaignResult, CampaignSpec};
 pub use checkpoint::{BackoffPolicy, BackoffState, QuorumValidator, RecordOutcome};
 pub use client::{BoincClientBody, ClientStats, ClientWorkSpec};
 pub use error::Error;
-pub use fastforward::{force_no_fastforward, reset_all, FastForwardStats};
+pub use fastforward::{reset_all, FastForwardStats};
 pub use faults::ChurnConfig;
 pub use hydrate::{HydrationPool, HydrationStats};
 pub use migration::MigrationPolicy;
 pub use model::{DeployConfig, ExecutionMode, GridReport, PoolConfig, ProjectConfig};
 pub use options::{RunOptions, SchedulerMode};
-pub use sim::{force_hydrated_reference, hydrated_reference_forced, vm_cpu_factor, SubstrateMode};
+pub use sim::{vm_cpu_factor, SubstrateMode};
 pub use wire::{WireError, WireErrorKind, WireRequest};

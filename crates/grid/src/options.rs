@@ -1,24 +1,18 @@
 //! Typed per-run execution options.
 //!
-//! Historically the three execution-mode switches were process globals
-//! set once by the CLI (`vgrid_os::force_per_quantum_reference`,
-//! [`crate::sim::force_hydrated_reference`],
-//! [`crate::fastforward::force_no_fastforward`]). A long-running server
-//! cannot use process globals: two concurrent requests may legitimately
-//! ask for different modes. [`RunOptions`] carries the same three
-//! switches as a value, threaded through [`crate::Campaign::run_with`]
-//! and the engine entry points, so every run is a pure function of
-//! `(spec, seed, options)` with no ambient mode state.
-//!
-//! The globals survive as deprecated CLI shims: the no-argument entry
-//! points ([`crate::Campaign::run`], `Engine::run_trials`) snapshot
-//! them via [`RunOptions::from_globals`], which the `options_shims`
-//! integration test pins bit-identical to the explicit-options path.
+//! [`RunOptions`] is the one way to choose an execution mode. It
+//! carries three switches as a value: the scheduler reference, the
+//! grid host substrate and the fast-forward kill switch. Campaigns take
+//! it per call ([`crate::Campaign::run_with`]); the core engine owns
+//! one for its lifetime (`Engine::with_options`); the wire format and
+//! the `vgrid` CLI flags both build one. There is no ambient mode
+//! state, so every run is a pure function of `(spec, seed, options)`
+//! and two concurrent requests may run different modes side by side.
 
 use crate::sim::SubstrateMode;
 
-/// Scheduler execution mode for `vgrid_os::System`-backed trials: the
-/// typed twin of `vgrid_os::force_per_quantum_reference`.
+/// Scheduler execution mode for `vgrid_os::System`-backed trials; the
+/// engine maps it onto `vgrid_os::SystemConfig::coalesce`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SchedulerMode {
     /// Slice-coalescing fast path (the default).
@@ -26,6 +20,16 @@ pub enum SchedulerMode {
     /// Materialize every quantum boundary as a real event
     /// (`--per-quantum-reference`). Bit-identical by contract.
     PerQuantumReference,
+}
+
+impl SchedulerMode {
+    /// The mode's name on the wire and in run manifests.
+    pub fn name(self) -> &'static str {
+        match self {
+            SchedulerMode::Coalesced => "coalesced",
+            SchedulerMode::PerQuantumReference => "per-quantum-reference",
+        }
+    }
 }
 
 /// Execution options for one campaign or trial run. Defaults reproduce
@@ -56,25 +60,6 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Snapshot the three deprecated process globals into a typed
-    /// options value. The no-argument run entry points call this, so
-    /// the legacy CLI flags keep working unchanged.
-    pub fn from_globals() -> Self {
-        RunOptions {
-            scheduler: if vgrid_os::per_quantum_reference_forced() {
-                SchedulerMode::PerQuantumReference
-            } else {
-                SchedulerMode::Coalesced
-            },
-            substrate: if crate::sim::hydrated_reference_forced() {
-                SubstrateMode::HydratedReference
-            } else {
-                SubstrateMode::Batched
-            },
-            fastforward: crate::fastforward::enabled(),
-        }
-    }
-
     /// Set the scheduler mode.
     pub fn scheduler(mut self, scheduler: SchedulerMode) -> Self {
         self.scheduler = scheduler;
@@ -122,8 +107,4 @@ mod tests {
         assert_eq!(o.substrate, SubstrateMode::HydratedReference);
         assert!(!o.fastforward);
     }
-
-    // `from_globals` is pinned against the actual globals by the
-    // `options_shims` integration test, which owns a whole process and
-    // so can mutate the deprecated toggles without racing other tests.
 }

@@ -31,7 +31,7 @@ use crate::faults::{self, ChurnConfig};
 use crate::hydrate::{HydrationPool, ProbeSpec};
 use crate::migration;
 use crate::model::{DeployConfig, ExecutionMode, GridReport, PoolConfig, ProjectConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::options::RunOptions;
 use vgrid_machine::MachineSpec;
 use vgrid_simcore::{
     CalendarQueue, DetMap, DetSet, EventQueue, EventScheduler, SimDuration, SimRng, SimTime,
@@ -228,32 +228,18 @@ pub enum SubstrateMode {
     HydratedReference,
 }
 
-static FORCE_HYDRATED_REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Force every subsequent campaign onto the reference substrate — the
-/// `--hydrated-reference` CLI flag (the grid twin of
-/// `vgrid_os::force_per_quantum_reference`).
-pub fn force_hydrated_reference(on: bool) {
-    FORCE_HYDRATED_REFERENCE.store(on, Ordering::SeqCst);
-}
-
-/// Whether [`force_hydrated_reference`] is currently in effect.
-pub fn hydrated_reference_forced() -> bool {
-    FORCE_HYDRATED_REFERENCE.load(Ordering::SeqCst)
-}
-
-/// Run one campaign on an explicit substrate; stops when all work
-/// units validate or at `horizon`. The campaign API
+/// Run one campaign under explicit execution options; stops when all
+/// work units validate or at `horizon`. The campaign API
 /// ([`crate::campaign::Campaign`]) is the public entry point.
+/// `options.scheduler` is ignored: campaigns never run per-quantum
+/// (hydration probes always use the coalescing scheduler).
 ///
-/// On the batched substrate with `ff` (fast-forward) set — the
-/// default, threaded down from `RunOptions::fastforward` — the trial
-/// first consults the process-wide trajectory cache: a stored
+/// On the batched substrate with fast-forward on — the default — the
+/// trial first consults the process-wide trajectory cache: a stored
 /// loop-exit snapshot of the same configuration at a horizon at or
 /// below the requested one resumes mid-stream instead of replaying
 /// from t=0 (see [`crate::fastforward`]). Resumed and cold runs are
 /// bit-identical by contract.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_campaign_substrate(
     project: &ProjectConfig,
     pool: &PoolConfig,
@@ -261,42 +247,29 @@ pub(crate) fn run_campaign_substrate(
     churn: &ChurnConfig,
     seed: u64,
     horizon: SimTime,
-    substrate: SubstrateMode,
-    ff: bool,
+    options: &RunOptions,
 ) -> GridReport {
+    let (substrate, ff) = (options.substrate, options.fastforward);
     match substrate {
         SubstrateMode::Batched => {
-            if ff {
-                let key = fastforward::trajectory_key(project, pool, deploy, churn, seed);
-                if let Some(ckpt) = fastforward::trajectory_lookup(&key, horizon) {
-                    return resume_campaign(project, pool, deploy, churn, horizon, &key, ckpt);
+            let key = ff.then(|| fastforward::trajectory_key(project, pool, deploy, churn, seed));
+            if let Some(key) = key.as_deref() {
+                if let Some(ckpt) = fastforward::trajectory_lookup(key, horizon) {
+                    return resume_campaign(project, pool, deploy, churn, horizon, key, ckpt);
                 }
-                run_campaign_on(
-                    project,
-                    pool,
-                    deploy,
-                    churn,
-                    seed,
-                    horizon,
-                    substrate,
-                    true,
-                    CalendarQueue::new(),
-                    Some(&key),
-                )
-            } else {
-                run_campaign_on(
-                    project,
-                    pool,
-                    deploy,
-                    churn,
-                    seed,
-                    horizon,
-                    substrate,
-                    false,
-                    CalendarQueue::new(),
-                    None,
-                )
             }
+            run_campaign_on(
+                project,
+                pool,
+                deploy,
+                churn,
+                seed,
+                horizon,
+                substrate,
+                ff,
+                CalendarQueue::new(),
+                key.as_deref(),
+            )
         }
         SubstrateMode::HydratedReference => run_campaign_on(
             project,
@@ -621,7 +594,10 @@ fn run_loop<Q: EventScheduler<Ev>>(
                 );
                 hosts[h].life_gen += 1;
                 let gen = hosts[h].life_gen;
-                q.schedule(now + SimDuration::from_secs_f64(span), Ev::Down { h, gen });
+                q.schedule(
+                    now.saturating_add(SimDuration::from_secs_f64(span)),
+                    Ev::Down { h, gen },
+                );
                 // Arm this up-span's fault processes (never under zero
                 // churn: the event stream must stay byte-identical).
                 if fctx.churn.owner_arrival_mean_secs > 0.0 {
@@ -629,14 +605,14 @@ fn run_loop<Q: EventScheduler<Ev>>(
                         .frng
                         .exponential(fctx.churn.owner_arrival_mean_secs);
                     q.schedule(
-                        now + SimDuration::from_secs_f64(gap),
+                        now.saturating_add(SimDuration::from_secs_f64(gap)),
                         Ev::OwnerArrive { h, gen },
                     );
                 }
                 if fctx.churn.vm_kill_mean_secs > 0.0 {
                     let wait = hosts[h].frng.exponential(fctx.churn.vm_kill_mean_secs);
                     q.schedule(
-                        now + SimDuration::from_secs_f64(wait),
+                        now.saturating_add(SimDuration::from_secs_f64(wait)),
                         Ev::VmKill { h, gen },
                     );
                 }
@@ -706,7 +682,10 @@ fn run_loop<Q: EventScheduler<Ev>>(
                 );
                 hosts[h].life_gen += 1;
                 let gen = hosts[h].life_gen;
-                q.schedule(now + SimDuration::from_secs_f64(span), Ev::Up { h, gen });
+                q.schedule(
+                    now.saturating_add(SimDuration::from_secs_f64(span)),
+                    Ev::Up { h, gen },
+                );
                 sync_idle(idle, hosts, h);
             }
             Ev::ActDone { h, gen } => {
@@ -737,7 +716,7 @@ fn run_loop<Q: EventScheduler<Ev>>(
                         hosts[h].act_gen += 1;
                         let gen = hosts[h].act_gen;
                         q.schedule(
-                            now + SimDuration::from_secs_f64(remaining_ref / rate),
+                            now.saturating_add(SimDuration::from_secs_f64(remaining_ref / rate)),
                             Ev::ActDone { h, gen },
                         );
                         arm_evac_check(h, now, hosts, deploy, fctx, q);
@@ -756,7 +735,7 @@ fn run_loop<Q: EventScheduler<Ev>>(
                         hosts[h].act_gen += 1;
                         let gen = hosts[h].act_gen;
                         q.schedule(
-                            now + SimDuration::from_secs_f64(remaining_ref / rate),
+                            now.saturating_add(SimDuration::from_secs_f64(remaining_ref / rate)),
                             Ev::ActDone { h, gen },
                         );
                         arm_evac_check(h, now, hosts, deploy, fctx, q);
@@ -784,9 +763,9 @@ fn run_loop<Q: EventScheduler<Ev>>(
                         hosts[h].act_gen += 1;
                         let gen = hosts[h].act_gen;
                         q.schedule(
-                            now + SimDuration::from_secs_f64(
+                            now.saturating_add(SimDuration::from_secs_f64(
                                 project.wu_output_bytes as f64 / pool.up_bw,
-                            ),
+                            )),
                             Ev::ActDone { h, gen },
                         );
                         continue;
@@ -894,7 +873,7 @@ fn run_loop<Q: EventScheduler<Ev>>(
                     .frng
                     .exponential(fctx.churn.owner_session_mean_secs);
                 q.schedule(
-                    now + SimDuration::from_secs_f64(session),
+                    now.saturating_add(SimDuration::from_secs_f64(session)),
                     Ev::OwnerLeave { h, gen },
                 );
                 sync_idle(idle, hosts, h);
@@ -914,7 +893,7 @@ fn run_loop<Q: EventScheduler<Ev>>(
                     .frng
                     .exponential(fctx.churn.owner_arrival_mean_secs);
                 q.schedule(
-                    now + SimDuration::from_secs_f64(gap),
+                    now.saturating_add(SimDuration::from_secs_f64(gap)),
                     Ev::OwnerArrive { h, gen },
                 );
                 sync_idle(idle, hosts, h);
@@ -940,7 +919,7 @@ fn run_loop<Q: EventScheduler<Ev>>(
                 }
                 let wait = hosts[h].frng.exponential(fctx.churn.vm_kill_mean_secs);
                 q.schedule(
-                    now + SimDuration::from_secs_f64(wait),
+                    now.saturating_add(SimDuration::from_secs_f64(wait)),
                     Ev::VmKill { h, gen },
                 );
                 sync_idle(idle, hosts, h);
@@ -983,8 +962,9 @@ fn run_loop<Q: EventScheduler<Ev>>(
                     };
                     let elapsed = now.since(hosts[holder].act_started).as_secs_f64();
                     let live_remaining = remaining_ref - elapsed * rate;
-                    let projected =
-                        now + SimDuration::from_secs_f64((live_remaining / rate).max(0.0));
+                    let projected = now.saturating_add(SimDuration::from_secs_f64(
+                        (live_remaining / rate).max(0.0),
+                    ));
                     if projected <= deadline {
                         continue;
                     }
@@ -1056,7 +1036,10 @@ fn run_loop<Q: EventScheduler<Ev>>(
                 if durable <= 0.0 || hazard < deploy.migration.hazard_threshold {
                     // Re-arm for the next checkpoint quantum; the
                     // act_gen guard retires the chain on interruption.
-                    q.schedule(now + deploy.checkpoint_interval, Ev::EvacCheck { h, gen });
+                    q.schedule(
+                        now.saturating_add(deploy.checkpoint_interval),
+                        Ev::EvacCheck { h, gen },
+                    );
                     continue;
                 }
                 // Evacuate only toward predicted safety: an idle host at
@@ -1079,7 +1062,10 @@ fn run_loop<Q: EventScheduler<Ev>>(
                     ) < deploy.migration.hazard_threshold
                 });
                 if !safe_home {
-                    q.schedule(now + deploy.checkpoint_interval, Ev::EvacCheck { h, gen });
+                    q.schedule(
+                        now.saturating_add(deploy.checkpoint_interval),
+                        Ev::EvacCheck { h, gen },
+                    );
                     continue;
                 }
                 hpool.window(probe, archetype::speed_band(hosts[h].speed));
@@ -1419,7 +1405,7 @@ fn export_checkpoint<Q: EventScheduler<Ev>>(
     *inflight_xfers += 1;
     report.transfer_secs += secs;
     q.schedule(
-        now + SimDuration::from_secs_f64(secs.max(1e-6)),
+        now.saturating_add(SimDuration::from_secs_f64(secs.max(1e-6))),
         Ev::XferDone {
             copy: task,
             remaining_ref,
@@ -1515,16 +1501,16 @@ fn start_next_activity<Q: EventScheduler<Ev>>(
                         remaining: project.wu_input_bytes as f64,
                         task: copy,
                     });
-                    q.schedule(now + project.deadline, Ev::Deadline { copy });
+                    q.schedule(now.saturating_add(project.deadline), Ev::Deadline { copy });
                     if deploy.migration.rescue {
                         // Audit the copy at the slack point; the full
                         // deadline rides along for the projection.
                         let slack = project.deadline.as_secs_f64() * deploy.migration.rescue_slack;
                         q.schedule(
-                            now + SimDuration::from_secs_f64(slack),
+                            now.saturating_add(SimDuration::from_secs_f64(slack)),
                             Ev::RescueCheck {
                                 copy,
-                                deadline: now + project.deadline,
+                                deadline: now.saturating_add(project.deadline),
                             },
                         );
                     }
@@ -1553,7 +1539,7 @@ fn start_next_activity<Q: EventScheduler<Ev>>(
             if fctx.on && !hosts[h].refetch_pending {
                 let delay = hosts[h].backoff.next_delay(&fctx.backoff);
                 hosts[h].refetch_pending = true;
-                q.schedule(now + delay, Ev::Refetch { h });
+                q.schedule(now.saturating_add(delay), Ev::Refetch { h });
             }
             return;
         }
@@ -1573,7 +1559,7 @@ fn start_next_activity<Q: EventScheduler<Ev>>(
     hosts[h].act_gen += 1;
     let gen = hosts[h].act_gen;
     q.schedule(
-        now + SimDuration::from_secs_f64(secs.max(1e-6)),
+        now.saturating_add(SimDuration::from_secs_f64(secs.max(1e-6))),
         Ev::ActDone { h, gen },
     );
     arm_evac_check(h, now, hosts, deploy, fctx, q);
@@ -1598,7 +1584,10 @@ fn arm_evac_check<Q: EventScheduler<Ev>>(
         return;
     }
     let gen = hosts[h].act_gen;
-    q.schedule(now + deploy.checkpoint_interval, Ev::EvacCheck { h, gen });
+    q.schedule(
+        now.saturating_add(deploy.checkpoint_interval),
+        Ev::EvacCheck { h, gen },
+    );
 }
 
 #[cfg(test)]
@@ -1622,8 +1611,7 @@ mod tests {
             churn,
             seed,
             horizon,
-            SubstrateMode::Batched,
-            true,
+            &RunOptions::default(),
         )
     }
 
@@ -1694,8 +1682,7 @@ mod tests {
                 &churn,
                 seed,
                 h,
-                SubstrateMode::HydratedReference,
-                true,
+                &RunOptions::default().substrate(SubstrateMode::HydratedReference),
             )
         };
         let warm = |h| run_impl(&project, &pool, &deploy, &churn, seed, h);
@@ -1746,8 +1733,7 @@ mod tests {
                         &churn,
                         9,
                         horizon(),
-                        substrate,
-                        true,
+                        &RunOptions::default().substrate(substrate),
                     )
                 };
                 let batched = run(SubstrateMode::Batched);

@@ -470,23 +470,23 @@ fn as_str(section: &str, key: &str, v: Json) -> Result<String, WireError> {
     }
 }
 
-/// Seconds field: an integer maps through `from_secs` exactly; a
-/// fractional value rounds to the nearest picosecond.
+/// Seconds field: an integer maps to whole seconds exactly; a
+/// fractional value rounds to the nearest picosecond. Simulated time is
+/// picoseconds in a `u64`, so anything beyond about 213.5 days
+/// (18,446,744 s) is rejected instead of wrapping.
 fn as_duration(section: &str, key: &str, v: Json) -> Result<SimDuration, WireError> {
+    let out_of_range = || {
+        WireError::invalid(format!(
+            "{} must be finite, >= 0 and at most 18446744 s (the simulated-time range)",
+            field_path(section, key)
+        ))
+    };
     match &v {
         Json::Num(raw) if raw.bytes().all(|b| b.is_ascii_digit()) => {
-            Ok(SimDuration::from_secs(as_u64(section, key, v.clone())?))
+            SimDuration::checked_from_secs(as_u64(section, key, v.clone())?)
+                .ok_or_else(out_of_range)
         }
-        _ => {
-            let secs = as_f64(section, key, v)?;
-            if !secs.is_finite() || secs < 0.0 {
-                return Err(WireError::invalid(format!(
-                    "{} must be finite and >= 0",
-                    field_path(section, key)
-                )));
-            }
-            Ok(SimDuration::from_secs_f64(secs))
-        }
+        _ => SimDuration::checked_from_secs_f64(as_f64(section, key, v)?).ok_or_else(out_of_range),
     }
 }
 
@@ -813,13 +813,6 @@ fn secs(ps: u64) -> String {
     }
 }
 
-fn scheduler_name(m: SchedulerMode) -> &'static str {
-    match m {
-        SchedulerMode::Coalesced => "coalesced",
-        SchedulerMode::PerQuantumReference => "per-quantum-reference",
-    }
-}
-
 fn substrate_name(m: SubstrateMode) -> &'static str {
     match m {
         SubstrateMode::Batched => "batched",
@@ -830,7 +823,7 @@ fn substrate_name(m: SubstrateMode) -> &'static str {
 fn render_options(o: &RunOptions) -> String {
     json::object(&[
         ("fastforward", o.fastforward.to_string()),
-        ("scheduler", json::string(scheduler_name(o.scheduler))),
+        ("scheduler", json::string(o.scheduler.name())),
         ("substrate", json::string(substrate_name(o.substrate))),
     ])
 }
@@ -1089,6 +1082,24 @@ mod tests {
         let e = WireError::from(req.spec.build().unwrap_err());
         assert_eq!(e.kind, WireErrorKind::Invalid);
         assert!(e.message.contains("availability_shape"), "{e}");
+    }
+
+    #[test]
+    fn durations_stop_at_the_simulated_time_range() {
+        // u64 picoseconds end at 18,446,744.07 s: the last whole second
+        // parses exactly, the next one is a typed error, not a wrap.
+        let ok = parse_request(r#"{"spec_version": 1, "horizon_secs": 18446744}"#)
+            .expect("last representable second");
+        assert_eq!(ok.spec.horizon, SimTime::from_secs(18_446_744));
+        for body in [
+            r#"{"spec_version": 1, "horizon_secs": 18446745}"#,
+            r#"{"spec_version": 1, "horizon_secs": 18446744.5}"#,
+            r#"{"spec_version": 1, "project": {"deadline_secs": 1e30}}"#,
+        ] {
+            let e = parse_request(body).unwrap_err();
+            assert_eq!(e.kind, WireErrorKind::Invalid, "{body}");
+            assert!(e.message.contains("18446744 s"), "{e}");
+        }
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Substrate-equivalence matrix: the archetype-batched substrate must
-//! be bit-identical to the `hydrated_reference` substrate — every
+//! be bit-identical to the hydrated-reference substrate — every
 //! `GridReport` field and every published metric — across pool sizes
 //! up to 1k hosts, churn on and off, native and VM deployments.
 
-use vgrid_grid::{CampaignSpec, ChurnConfig, DeployConfig, GridReport, PoolConfig, ProjectConfig};
+use vgrid_grid::{
+    CampaignSpec, ChurnConfig, DeployConfig, GridReport, PoolConfig, ProjectConfig, RunOptions,
+    SubstrateMode,
+};
 use vgrid_simcore::SimTime;
 use vgrid_simobs::MetricsRegistry;
 use vgrid_vmm::VmmProfile;
@@ -27,10 +30,14 @@ fn spec(volunteers: u32, churn: ChurnConfig, deploy: DeployConfig) -> CampaignSp
 }
 
 fn run(spec: CampaignSpec, hydrated_reference: bool) -> GridReport {
-    spec.hydrated_reference(hydrated_reference)
-        .build()
+    let substrate = if hydrated_reference {
+        SubstrateMode::HydratedReference
+    } else {
+        SubstrateMode::Batched
+    };
+    spec.build()
         .expect("valid spec")
-        .run()
+        .run_with(&RunOptions::default().substrate(substrate))
         .reports()[0]
         .clone()
 }

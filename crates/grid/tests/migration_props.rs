@@ -1,11 +1,12 @@
 //! Property-based tests of the migration-policy contract: accounting
-//! invariants, substrate/scheduler bit-equality, and the guarantee that
-//! a disabled policy is the pre-policy baseline bit for bit.
+//! invariants, bit-equality across substrates and the fast-forward
+//! switch, and the guarantee that a disabled policy is the pre-policy
+//! baseline bit for bit.
 
 use proptest::prelude::*;
 use vgrid_grid::{
     CampaignSpec, ChurnConfig, DeployConfig, MigrationPolicy, PoolConfig, ProjectConfig,
-    RunOptions, SchedulerMode, SubstrateMode,
+    RunOptions, SubstrateMode,
 };
 use vgrid_simcore::{SimDuration, SimTime};
 use vgrid_vmm::VmmProfile;
@@ -35,8 +36,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Migration accounting stays conservative for every policy, and
-    /// the report is bit-identical across both substrates, both
-    /// scheduler modes, and parallel vs sequential repetitions.
+    /// the report is bit-identical across both substrates, fast-forward
+    /// on and off, and parallel vs sequential repetitions. (Campaigns
+    /// have no scheduler mode: `RunOptions::scheduler` never reaches
+    /// them.)
     #[test]
     fn migration_invariants_hold_in_every_execution_mode(
         seed in any::<u64>(),
@@ -53,18 +56,16 @@ proptest! {
         let spec = spec(seed, volunteers, churn_level as f64, policy);
 
         let combos = [
-            (SchedulerMode::Coalesced, SubstrateMode::Batched),
-            (SchedulerMode::Coalesced, SubstrateMode::HydratedReference),
-            (SchedulerMode::PerQuantumReference, SubstrateMode::Batched),
-            (SchedulerMode::PerQuantumReference, SubstrateMode::HydratedReference),
+            (SubstrateMode::Batched, true),
+            (SubstrateMode::Batched, false),
+            (SubstrateMode::HydratedReference, true),
+            (SubstrateMode::HydratedReference, false),
         ];
         let mut reference = None;
-        for (scheduler, substrate) in combos {
-            let options = RunOptions {
-                scheduler,
-                substrate,
-                ..Default::default()
-            };
+        for (substrate, fastforward) in combos {
+            let options = RunOptions::default()
+                .substrate(substrate)
+                .fastforward(fastforward);
             let run = spec.clone().build().unwrap().run_with(&options);
             let r = run.reports()[0].clone();
 
@@ -89,17 +90,16 @@ proptest! {
                 prop_assert_eq!(r.migrations, 0);
             }
 
-            // The per-quantum reference scheduler on the hydrated
-            // reference substrate is the ground truth; everything else
-            // must match it bit for bit.
+            // Every mode must match the first (production) run bit for
+            // bit.
             match &reference {
                 None => reference = Some(r),
                 Some(first) => prop_assert_eq!(
                     first,
                     &r,
-                    "scheduler {:?} substrate {:?} diverged",
-                    scheduler,
-                    substrate
+                    "substrate {:?} fastforward {} diverged",
+                    substrate,
+                    fastforward
                 ),
             }
         }

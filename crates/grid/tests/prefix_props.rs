@@ -6,12 +6,14 @@
 //! runs h1 first (storing the prefix), then h2 (resuming from it); the
 //! hydrated-reference substrate runs the same horizons cold — it never
 //! consults the fast-forward caches, so it is a race-free ground truth.
-//! Both scheduler modes are exercised, which is why this proptest lives
-//! in its own test binary: `force_per_quantum_reference` is process
-//! global and must not flip under concurrently running tests.
+//! Campaigns have no scheduler mode (their hydration probes always
+//! coalesce), so the substrate is the only axis.
 
 use proptest::prelude::*;
-use vgrid_grid::{CampaignSpec, ChurnConfig, DeployConfig, GridReport, PoolConfig, ProjectConfig};
+use vgrid_grid::{
+    CampaignSpec, ChurnConfig, DeployConfig, GridReport, PoolConfig, ProjectConfig, RunOptions,
+    SubstrateMode,
+};
 use vgrid_simcore::{SimDuration, SimTime};
 use vgrid_vmm::VmmProfile;
 
@@ -20,7 +22,7 @@ fn run_point(
     churn_level: f64,
     ckpt_secs: u64,
     horizon: SimTime,
-    reference: bool,
+    substrate: SubstrateMode,
 ) -> GridReport {
     let mut deploy = DeployConfig::vm(VmmProfile::vmplayer(), 300 << 20);
     deploy.checkpoint_interval = SimDuration::from_secs(ckpt_secs);
@@ -39,10 +41,9 @@ fn run_point(
         .churn(ChurnConfig::intensity(churn_level))
         .seed(seed)
         .horizon(horizon)
-        .hydrated_reference(reference)
         .build()
         .expect("valid sweep point")
-        .run()
+        .run_with(&RunOptions::default().substrate(substrate))
         .reports()[0]
         .clone()
 }
@@ -51,7 +52,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn prefix_resume_matches_cold_run_in_both_scheduler_modes(
+    fn prefix_resume_matches_cold_run(
         seed in any::<u64>(),
         churn_level in 0u32..4,
         ckpt_min in 5u64..120,
@@ -62,22 +63,13 @@ proptest! {
         let ckpt = ckpt_min * 60;
         let h1 = SimTime::from_secs(h1_days * 24 * 3600);
         let h2 = SimTime::from_secs((h1_days + extra_days) * 24 * 3600);
-        for per_quantum in [false, true] {
-            vgrid_os::force_per_quantum_reference(per_quantum);
-            // Warm order matters: h1 stores the prefix h2 resumes from.
-            let warm1 = run_point(seed, churn, ckpt, h1, false);
-            let warm2 = run_point(seed, churn, ckpt, h2, false);
-            let cold1 = run_point(seed, churn, ckpt, h1, true);
-            let cold2 = run_point(seed, churn, ckpt, h2, true);
-            prop_assert_eq!(
-                &warm1, &cold1,
-                "h1 diverged (per_quantum={})", per_quantum
-            );
-            prop_assert_eq!(
-                &warm2, &cold2,
-                "prefix resume at h2 diverged (per_quantum={})", per_quantum
-            );
-        }
-        vgrid_os::force_per_quantum_reference(false);
+        let (batched, reference) = (SubstrateMode::Batched, SubstrateMode::HydratedReference);
+        // Warm order matters: h1 stores the prefix h2 resumes from.
+        let warm1 = run_point(seed, churn, ckpt, h1, batched);
+        let warm2 = run_point(seed, churn, ckpt, h2, batched);
+        let cold1 = run_point(seed, churn, ckpt, h1, reference);
+        let cold2 = run_point(seed, churn, ckpt, h2, reference);
+        prop_assert_eq!(&warm1, &cold1, "h1 diverged");
+        prop_assert_eq!(&warm2, &cold2, "prefix resume at h2 diverged");
     }
 }

@@ -49,7 +49,4 @@ pub use action::{
 };
 pub use fs::{FileSystem, FsConfig, IoPlan};
 pub use net::{NetConfig, NetPlan, NetStack};
-pub use system::{
-    force_per_quantum_reference, per_quantum_reference_forced, System, SystemConfig, ThreadState,
-    ThreadStats,
-};
+pub use system::{System, SystemConfig, ThreadState, ThreadStats};

@@ -44,7 +44,7 @@
 //! same-instant events pop in a mode-independent order (externals first,
 //! then slice ends in core order — see `EventQueue::schedule_ranked`),
 //! the coalesced schedule is bit-identical to the per-quantum reference
-//! schedule that [`force_per_quantum_reference`] switches back on.
+//! schedule (`SystemConfig { coalesce: false, .. }`).
 
 use crate::action::{Action, ActionResult, Priority, ThreadBody, ThreadCtx, ThreadId};
 use crate::fs::{FileSystem, FsConfig, IoPlan};
@@ -52,7 +52,6 @@ use crate::net::{NetConfig, NetPlan, NetStack};
 use crate::sched::ReadyQueues;
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
 use vgrid_machine::ops::OpBlock;
 use vgrid_machine::{
     ContentionCache, ContentionModel, CpuModel, DiskModel, DiskRequest, MachineSpec,
@@ -71,25 +70,6 @@ const QUANTUM_EPS: SimDuration = SimDuration::from_nanos(1);
 /// broken.
 const ACTIVATION_FUSE: u32 = 10_000;
 
-/// Process-wide override that forces every subsequently-built [`System`]
-/// into the per-quantum reference mode (see [`force_per_quantum_reference`]).
-static FORCE_REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Force (or release) the per-quantum reference mode for every
-/// [`SystemConfig::testbed`]-derived system built after this call. The
-/// equivalence suite uses this to rerun whole experiments without the
-/// slice-coalescing fast path and pin bit-identical output.
-pub fn force_per_quantum_reference(on: bool) {
-    FORCE_REFERENCE.store(on, Ordering::SeqCst);
-}
-
-/// True when the per-quantum reference mode is forced, either via
-/// [`force_per_quantum_reference`] or the `per-quantum-reference` cargo
-/// feature.
-pub fn per_quantum_reference_forced() -> bool {
-    cfg!(feature = "per-quantum-reference") || FORCE_REFERENCE.load(Ordering::SeqCst)
-}
-
 /// System construction parameters.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -104,18 +84,21 @@ pub struct SystemConfig {
     /// Enable the slice-coalescing fast path (default). `false` forces
     /// the per-quantum reference mode, which materializes every quantum
     /// boundary as a real event and must produce bit-identical results.
+    /// This field is the only scheduler mode switch: the engine sets it
+    /// from `RunOptions::scheduler`, tests set it directly.
     pub coalesce: bool,
 }
 
 impl SystemConfig {
-    /// Default configuration on the paper's testbed machine.
+    /// Default configuration on the paper's testbed machine, with the
+    /// coalescing fast path on.
     pub fn testbed(seed: u64) -> Self {
         SystemConfig {
             machine: MachineSpec::core2_duo_6600(),
             quantum: SimDuration::from_millis(20),
             boost_interval: Some(SimDuration::from_secs(3)),
             seed,
-            coalesce: !per_quantum_reference_forced(),
+            coalesce: true,
         }
     }
 }

@@ -56,23 +56,37 @@ pub mod test_runner {
     }
 
     impl ProptestConfig {
+        /// A suite pinned at `cases`. `PROPTEST_CASES` may raise the
+        /// count (the nightly deep sweep), never lower it.
         pub fn with_cases(cases: u32) -> Self {
-            ProptestConfig { cases }
+            let env = std::env::var("PROPTEST_CASES").ok();
+            ProptestConfig {
+                cases: raised_cases(cases, env.as_deref()),
+            }
         }
+    }
+
+    /// A positive `PROPTEST_CASES` value, if `env` holds one.
+    fn env_cases(env: Option<&str>) -> Option<u32> {
+        env.and_then(|v| v.parse().ok()).filter(|&c| c > 0)
+    }
+
+    /// Case count of a suite pinned at `pinned` under the
+    /// `PROPTEST_CASES` value `env`: the larger of the two.
+    pub fn raised_cases(pinned: u32, env: Option<&str>) -> u32 {
+        env_cases(env).map_or(pinned, |c| c.max(pinned))
     }
 
     impl Default for ProptestConfig {
         fn default() -> Self {
             // The real crate defaults to 256; 32 keeps the simulation-heavy
             // suites fast while still exercising varied inputs. Like the
-            // real crate, `PROPTEST_CASES` raises the count (nightly CI
+            // real crate, `PROPTEST_CASES` replaces the count (nightly CI
             // sets it to get a deeper sweep without slowing PR runs).
-            let cases = std::env::var("PROPTEST_CASES")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&c| c > 0)
-                .unwrap_or(32);
-            ProptestConfig { cases }
+            let env = std::env::var("PROPTEST_CASES").ok();
+            ProptestConfig {
+                cases: env_cases(env.as_deref()).unwrap_or(32),
+            }
         }
     }
 }
@@ -392,6 +406,17 @@ mod tests {
             assert!((-2.0..3.0).contains(&f));
             let i = Strategy::r#gen(&(-8i32..-1), &mut rng);
             assert!((-8..-1).contains(&i));
+        }
+    }
+
+    #[test]
+    fn proptest_cases_raises_pinned_suites_but_never_lowers_them() {
+        use crate::test_runner::raised_cases;
+        assert_eq!(raised_cases(16, None), 16);
+        assert_eq!(raised_cases(16, Some("512")), 512);
+        assert_eq!(raised_cases(16, Some("4")), 16);
+        for junk in ["", "0", "-3", "many"] {
+            assert_eq!(raised_cases(16, Some(junk)), 16, "{junk:?}");
         }
     }
 

@@ -84,6 +84,13 @@ impl SimTime {
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
     }
+
+    /// Addition of a duration that clamps at [`SimTime::MAX`]. An event
+    /// scheduled past the end of representable time lands on the
+    /// "never" sentinel instead of panicking.
+    pub fn saturating_add(self, d: SimDuration) -> SimTime {
+        SimTime(self.0.saturating_add(d.0))
+    }
 }
 
 impl SimDuration {
@@ -119,6 +126,23 @@ impl SimDuration {
             return SimDuration::ZERO;
         }
         SimDuration((s * PS_PER_SEC as f64).round() as u64)
+    }
+
+    /// Whole seconds, or `None` when the span exceeds the picosecond
+    /// range (about 213.5 days).
+    pub fn checked_from_secs(s: u64) -> Option<Self> {
+        s.checked_mul(PS_PER_SEC).map(SimDuration)
+    }
+
+    /// Fractional seconds rounded like [`SimDuration::from_secs_f64`], or
+    /// `None` when `s` is negative, not finite, or beyond the picosecond
+    /// range.
+    pub fn checked_from_secs_f64(s: f64) -> Option<Self> {
+        let ps = (s * PS_PER_SEC as f64).round();
+        // 2^64 is exactly representable; every smaller rounded value
+        // converts without saturating.
+        (s.is_finite() && s >= 0.0 && ps < 18_446_744_073_709_551_616.0)
+            .then(|| SimDuration::from_secs_f64(s))
     }
 
     /// Raw picosecond count.
@@ -308,6 +332,28 @@ mod tests {
         assert!((d.as_secs_f64() - 1.234_567).abs() < 1e-9);
         let t = SimTime::from_secs_f64(0.5);
         assert!((t.as_secs_f64() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn checked_constructors_stop_at_the_picosecond_range() {
+        // u64::MAX ps is 18_446_744.07... s.
+        assert!(SimDuration::checked_from_secs(18_446_744).is_some());
+        assert!(SimDuration::checked_from_secs(18_446_745).is_none());
+        assert_eq!(
+            SimDuration::checked_from_secs_f64(1.5),
+            Some(SimDuration::from_millis(1500))
+        );
+        assert!(SimDuration::checked_from_secs_f64(18_446_744.0).is_some());
+        assert!(SimDuration::checked_from_secs_f64(18_446_744.1).is_none());
+        for bad in [-1.0, f64::NAN, f64::INFINITY, 1e30] {
+            assert!(SimDuration::checked_from_secs_f64(bad).is_none(), "{bad}");
+        }
+        let late = SimTime::from_secs(18_000_000);
+        assert_eq!(late.saturating_add(SimDuration::MAX), SimTime::MAX);
+        assert_eq!(
+            late.saturating_add(SimDuration::from_secs(1)),
+            SimTime::from_secs(18_000_001)
+        );
     }
 
     #[test]

@@ -1,10 +1,7 @@
-//! Minimal deterministic JSON writing helpers.
-//!
-//! `vgrid-simobs` sits below `vgrid-core`, so it cannot reuse the figure
-//! crate's JSON module; this is the same byte-stable formatting contract
-//! (escaped strings, round-trip floats) restated for telemetry output.
-//! There is deliberately no parser here — the artifacts this crate emits
-//! are gated with `cmp`, not reparsed.
+//! Minimal deterministic JSON writing helpers: escaped strings and
+//! round-trip floats, shared by telemetry output and `vgrid-core`'s
+//! figure JSON. There is deliberately no parser here — the artifacts
+//! written with these helpers are gated with `cmp`, not reparsed.
 
 /// Escape and quote a string.
 pub fn string(s: &str) -> String {

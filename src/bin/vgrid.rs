@@ -20,26 +20,29 @@
 //! `vgrid_grid` / `vgrid_serve`; argument parsing is the declarative
 //! table walk in `vgrid::args` (no CLI dependency), so a misspelled
 //! flag is diagnosed with the command's accepted set instead of being
-//! silently ignored. Observed runs (`--metrics-json`, `trace`) write
-//! artifacts that are pure functions of `(experiment, fidelity,
-//! scheduler mode)` — the wall-clock phase summary they print goes to
-//! stderr only and never enters a gated file (DESIGN.md §11).
+//! silently ignored. The mode flags build one `RunOptions` value, the
+//! only way to choose an execution mode: `run` and `trace` hand it to
+//! the engine they create, `campaign` to the campaign it runs.
+//! Observed runs (`--metrics-json`, `trace`) write artifacts that are
+//! pure functions of `(experiment, fidelity, options)` — the
+//! wall-clock phase summary they print goes to stderr only and never
+//! enters a gated file (DESIGN.md §11).
 
 use std::process::ExitCode;
 use std::time::Duration;
 use vgrid::args::{parse, FlagSpec, ParsedArgs};
-use vgrid::core::{experiments, obs, Fidelity};
-use vgrid::grid::{wire, CampaignSpec, ChurnConfig, DeployConfig, PoolConfig, ProjectConfig};
+use vgrid::core::{experiments, obs, Engine, Fidelity};
+use vgrid::grid::{
+    wire, CampaignSpec, ChurnConfig, DeployConfig, PoolConfig, ProjectConfig, RunOptions,
+    SchedulerMode, SubstrateMode,
+};
 use vgrid::out::to_stdout;
 use vgrid::serve::{ServeConfig, Server};
-use vgrid::simcore::SimTime;
+use vgrid::simcore::{SimDuration, SimTime};
 use vgrid::vmm::VmmProfile;
 
-/// The three deprecated process-global execution-mode switches, shared
-/// by every command that runs simulations. New code threads
-/// `RunOptions` values instead (`grid::options`); these flags keep the
-/// legacy single-run CLI working and are pinned equivalent to the
-/// typed path by the `options_shims` integration test.
+/// The execution-mode switches of the commands that run experiments;
+/// [`run_options`] turns them into one `RunOptions` value.
 const MODE_FLAGS: &[FlagSpec] = &[
     FlagSpec::switch("--per-quantum-reference"),
     FlagSpec::switch("--hydrated-reference"),
@@ -68,17 +71,17 @@ fn report_loop_totals(p: &ParsedArgs) {
     }
 }
 
-/// Honor the deprecated mode switches (see [`MODE_FLAGS`]).
-fn apply_scheduler_mode(p: &ParsedArgs) {
+/// The execution options the [`MODE_FLAGS`] switches select. A switch
+/// missing from a command's table reads as off.
+fn run_options(p: &ParsedArgs) -> RunOptions {
+    let mut options = RunOptions::default().fastforward(!p.switch("--no-fastforward"));
     if p.switch("--per-quantum-reference") {
-        vgrid::os::force_per_quantum_reference(true);
+        options = options.scheduler(SchedulerMode::PerQuantumReference);
     }
     if p.switch("--hydrated-reference") {
-        vgrid::grid::force_hydrated_reference(true);
+        options = options.substrate(SubstrateMode::HydratedReference);
     }
-    if p.switch("--no-fastforward") {
-        vgrid::grid::force_no_fastforward(true);
-    }
+    options
 }
 
 /// Wall-clock reading for the stderr phase summary. Reported, never
@@ -103,6 +106,7 @@ fn report_wall_phases(setup: Duration, simulate: Duration, emit: Duration) {
 /// Returns the observed run for further printing, or `None` after
 /// reporting the failure.
 fn run_observed_to_file(
+    engine: &Engine,
     id: &str,
     fid: Fidelity,
     path: &str,
@@ -110,7 +114,7 @@ fn run_observed_to_file(
 ) -> Option<obs::ObservedRun> {
     let t0 = wall_now();
     let setup = t0.elapsed();
-    let Some(run) = obs::run_observed(id, fid) else {
+    let Some(run) = obs::run_observed(engine, id, fid) else {
         eprintln!("unknown experiment id '{id}'; try `vgrid list`");
         return None;
     };
@@ -205,6 +209,14 @@ fn campaign(p: &ParsedArgs) -> ExitCode {
     parsed_or_fail((|| {
         let volunteers: u32 = p.parsed("--volunteers")?.unwrap_or(100);
         let days: u64 = p.parsed("--days")?.unwrap_or(14);
+        // Simulated time is picoseconds in a u64: about 213.5 days.
+        let Some(horizon) = days
+            .checked_mul(24 * 3600)
+            .and_then(SimDuration::checked_from_secs)
+        else {
+            eprintln!("--days {days} exceeds the simulated-time range (at most 213 days)");
+            return Ok(ExitCode::FAILURE);
+        };
         let image_mb: u64 = p.parsed("--image-mb")?.unwrap_or(1400);
         let mode = p.value("--vm").unwrap_or("native").to_string();
         let mut deploy = if mode == "native" {
@@ -238,8 +250,7 @@ fn campaign(p: &ParsedArgs) -> ExitCode {
             .deploy(deploy)
             .churn(ChurnConfig::intensity(churn_level))
             .seed(0xc11)
-            .horizon(SimTime::from_secs(days * 24 * 3600))
-            .hydrated_reference(p.switch("--hydrated-reference"))
+            .horizon(SimTime::from_picos(horizon.as_picos()))
             .build()
         {
             Ok(c) => c,
@@ -248,7 +259,7 @@ fn campaign(p: &ParsedArgs) -> ExitCode {
                 return Ok(ExitCode::FAILURE);
             }
         };
-        let result = campaign.run();
+        let result = campaign.run_with(&run_options(p));
         let r = &result.reports()[0];
         Ok(to_stdout(|out| {
             writeln!(
@@ -392,15 +403,15 @@ fn main() -> ExitCode {
             let [id] = p.positionals() else {
                 return usage();
             };
-            apply_scheduler_mode(&p);
+            let engine = Engine::with_options(run_options(&p));
             let fid = fidelity(&p);
             let fig = if let Some(path) = p.value("--metrics-json") {
-                let Some(run) = run_observed_to_file(id, fid, path, "manifest") else {
+                let Some(run) = run_observed_to_file(&engine, id, fid, path, "manifest") else {
                     return ExitCode::FAILURE;
                 };
                 run.figure
             } else {
-                let Some(fig) = experiments::run_by_id(id, fid) else {
+                let Some(fig) = experiments::run_by_id(&engine, id, fid) else {
                     eprintln!("unknown experiment id '{id}'; try `vgrid list`");
                     return ExitCode::FAILURE;
                 };
@@ -432,9 +443,9 @@ fn main() -> ExitCode {
                 eprintln!("trace needs --out <path>");
                 return usage();
             };
-            apply_scheduler_mode(&p);
+            let engine = Engine::with_options(run_options(&p));
             let fid = fidelity(&p);
-            if run_observed_to_file(id, fid, path, "trace").is_none() {
+            if run_observed_to_file(&engine, id, fid, path, "trace").is_none() {
                 return ExitCode::FAILURE;
             }
             eprintln!(

@@ -4,19 +4,17 @@
 //! segment-solution, probe-dilation, and trajectory caches with the
 //! same campaign list a single-threaded run executes, and every
 //! thread's rendered run manifest must stay byte-identical to the
-//! sequential reference — in both scheduler execution modes.
+//! sequential reference.
 //!
 //! Hit/miss *counters* are deliberately excluded from the manifests
 //! built here: under concurrent cold misses two threads may race to
 //! solve the same key, so the counts are not deterministic. The
 //! *results* are — that is the contract this test pins.
 //!
-//! Everything lives in one `#[test]` because the scheduler-mode toggle
-//! and the cache reset hook are process-global; parallel test functions
-//! would race on them.
+//! Everything lives in one `#[test]` because the cache reset hook is
+//! process-global; parallel test functions would race on it.
 
 use vgrid::grid::{self, CampaignSpec, DeployConfig, PoolConfig, ProjectConfig};
-use vgrid::os::force_per_quantum_reference;
 use vgrid::simcore::{SimDuration, SimTime};
 use vgrid::simobs::manifest::config_digest;
 use vgrid::simobs::{fnv1a64, MetricsRegistry, RunManifest};
@@ -62,7 +60,7 @@ fn spec_list() -> Vec<CampaignSpec> {
 /// Run the list on the calling thread and render a run manifest whose
 /// metrics are per-campaign FNV digests of the full result (every
 /// float of every repetition participates via the `Debug` rendering).
-fn run_and_render(mode_name: &str) -> String {
+fn run_and_render() -> String {
     let mut metrics = MetricsRegistry::new();
     let mut labels = Vec::new();
     for spec in spec_list() {
@@ -77,7 +75,7 @@ fn run_and_render(mode_name: &str) -> String {
     RunManifest {
         experiment: "cache-concurrency".to_string(),
         fidelity: "fast".to_string(),
-        scheduler_mode: mode_name.to_string(),
+        scheduler_mode: "coalesced".to_string(),
         seed: 0,
         config_digest: config_digest(&labels),
         trials: labels,
@@ -89,34 +87,27 @@ fn run_and_render(mode_name: &str) -> String {
 
 #[test]
 fn sixteen_threads_render_manifests_byte_identical_to_sequential() {
-    for (reference, mode_name) in [(false, "coalesced"), (true, "per-quantum-reference")] {
-        force_per_quantum_reference(reference);
+    // Sequential reference: cold caches, one thread.
+    grid::reset_all();
+    let reference_doc = run_and_render();
+    assert!(!reference_doc.is_empty());
 
-        // Sequential reference: cold caches, one thread.
-        grid::reset_all();
-        let reference_doc = run_and_render(mode_name);
-        assert!(!reference_doc.is_empty());
-
-        // Stress: cold caches again, sixteen threads racing the same
-        // list against the shared cache layers.
-        grid::reset_all();
-        let docs: Vec<String> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|_| scope.spawn(|| run_and_render(mode_name)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stress thread"))
-                .collect()
-        });
-        for (i, doc) in docs.iter().enumerate() {
-            assert_eq!(
-                *doc, reference_doc,
-                "thread {i} manifest diverged from the sequential run ({mode_name})"
-            );
-        }
+    // Stress: cold caches again, sixteen threads racing the same list
+    // against the shared cache layers.
+    grid::reset_all();
+    let docs: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS).map(|_| scope.spawn(run_and_render)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("stress thread"))
+            .collect()
+    });
+    for (i, doc) in docs.iter().enumerate() {
+        assert_eq!(
+            *doc, reference_doc,
+            "thread {i} manifest diverged from the sequential run"
+        );
     }
-    // Leave the process the way we found it for any sibling binaries.
-    force_per_quantum_reference(false);
+    // Leave the caches the way we found them for any sibling binaries.
     grid::reset_all();
 }

@@ -2,18 +2,19 @@
 //!
 //! Every grid experiment in the registry must produce byte-identical
 //! figure JSON *and* a byte-identical run manifest whether it runs on
-//! the archetype-batched substrate (default) or under
-//! `--hydrated-reference`. Each invocation is a fresh process, so the
+//! the archetype-batched substrate (default), under
+//! `--hydrated-reference`, or with the fast-forward caches switched off
+//! (`--no-fastforward`). Each invocation is a fresh process, so the
 //! engine cache starts cold and cannot mask a divergence between the
-//! two substrates.
+//! modes.
 //!
 //! One carve-out: the `grid.fastforward.*` metric rows report cache
 //! reuse — the execution strategy itself, which is exactly what this
-//! test varies. The reference substrate never consults the
-//! fast-forward caches (DESIGN.md §13), so those rows must be present
-//! in the batched manifest, absent from the reference one, and are
-//! stripped before the byte comparison. Everything simulation-derived
-//! still compares exactly.
+//! test varies. Neither the reference substrate nor the kill switch
+//! consults the fast-forward caches (DESIGN.md §13), so those rows
+//! must be present in the batched manifest, absent from the other two,
+//! and are stripped before the byte comparison. Everything
+//! simulation-derived still compares exactly.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -75,31 +76,32 @@ fn strip_fastforward_rows(manifest: &[u8]) -> String {
 fn grid_registry_is_bit_identical_across_substrates() {
     for id in GRID_IDS {
         let (fig_batched, man_batched) = run_grid(id, &tmp(&format!("{id}.batched.json")), &[]);
-        let (fig_reference, man_reference) = run_grid(
-            id,
-            &tmp(&format!("{id}.reference.json")),
-            &["--hydrated-reference"],
-        );
-        assert_eq!(
-            fig_batched, fig_reference,
-            "figure JSON diverged across substrates for {id}"
-        );
         let batched = strip_fastforward_rows(&man_batched);
-        let reference = strip_fastforward_rows(&man_reference);
-        assert_eq!(
-            batched, reference,
-            "run manifest diverged across substrates for {id}"
-        );
         assert_ne!(
             batched.len(),
             man_batched.len(),
             "batched manifest must report its fast-forward reuse for {id}"
         );
-        assert_eq!(
-            reference.len(),
-            man_reference.len(),
-            "reference manifest must not touch the fast-forward caches for {id}"
-        );
         assert!(!fig_batched.is_empty() && !man_batched.is_empty());
+        for (mode, flag) in [
+            ("reference", "--hydrated-reference"),
+            ("no-fastforward", "--no-fastforward"),
+        ] {
+            let (fig, man) = run_grid(id, &tmp(&format!("{id}.{mode}.json")), &[flag]);
+            assert_eq!(
+                fig_batched, fig,
+                "figure JSON diverged under {flag} for {id}"
+            );
+            let stripped = strip_fastforward_rows(&man);
+            assert_eq!(
+                batched, stripped,
+                "run manifest diverged under {flag} for {id}"
+            );
+            assert_eq!(
+                stripped.len(),
+                man.len(),
+                "{mode} manifest must not touch the fast-forward caches for {id}"
+            );
+        }
     }
 }

@@ -80,6 +80,13 @@ fn bad_requests_get_typed_errors_and_the_server_stays_up() {
                 "invalid",
                 "duplicate",
             ),
+            // One second past the u64-picosecond clock must be
+            // rejected, not wrapped into a sub-second campaign.
+            (
+                r#"{"spec_version": 1, "horizon_secs": 18446745}"#,
+                "invalid",
+                "horizon_secs",
+            ),
         ];
         for (body, kind, fragment) in table {
             let (status, payload) = post(addr, "/v1/campaign", body);
@@ -119,7 +126,11 @@ fn bad_requests_get_typed_errors_and_the_server_stays_up() {
         assert!(payload.contains("vgrid-campaign-manifest/v1"));
 
         let stats = vgrid::serve::stats();
-        assert_eq!(stats.errors, 6, "every table row must count as an error");
+        assert_eq!(
+            stats.errors,
+            table.len() as u64,
+            "every table row must count as an error"
+        );
 
         let (status, _) = post(addr, "/v1/shutdown", "");
         assert_eq!(status, 200);
