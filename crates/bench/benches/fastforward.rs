@@ -4,11 +4,12 @@
 //! The sweep mirrors the `grid-churn` experiment's fast-fidelity shape
 //! (4 churn levels x {native, vm, vm no-ckpt} x 3 repetitions). The
 //! `churn_sweep_off` row pins the cold baseline: `RunOptions` with
-//! `fastforward(false)` makes every campaign re-measure its hydration
-//! probes, re-solve its contention segments and replay from t=0. The `churn_sweep_on` row
-//! times the same sweep with the process-global segment-solution and
-//! prefix-trajectory caches live (the harness's warm-up pass populates
-//! them, exactly like the second and later sweeps of a registry run).
+//! `fastforward(false)` makes every campaign materialize its work queue
+//! eagerly and replay from t=0. The `churn_sweep_on` row times the same
+//! sweep with the process-global prefix-trajectory cache live (the
+//! harness's warm-up pass populates it, exactly like the second and
+//! later sweeps of a registry run). Both rows solve segments and
+//! measure hydration probes the same way: per campaign, uncached.
 //!
 //! Fast-forward must be invisible in the results: both digests are
 //! recorded as metric rows and `bench.sh --check` gates on

@@ -61,9 +61,9 @@ pub struct RunCapture {
     pub trial_labels: Vec<String>,
     /// Trial identity strings (engine cache keys), in request order.
     pub trial_keys: Vec<String>,
-    /// Fast-forward reuse counters at arm time. The grid's segment
-    /// and trajectory caches are process-global; the manifest reports
-    /// this run's delta, not the process lifetime totals.
+    /// Fast-forward reuse counters at arm time. The grid's trajectory
+    /// cache is process-global; the manifest reports this run's delta,
+    /// not the process lifetime totals.
     pub ff_baseline: vgrid_grid::FastForwardStats,
 }
 
@@ -214,20 +214,10 @@ pub fn run_observed(engine: &Engine, id: &str, fidelity: Fidelity) -> Option<Obs
         metrics.gauge_add("engine.cache_hit_rate", ehits / (ehits + emisses));
     }
     // Grid fast-forward reuse: this run's delta over the process-global
-    // segment-solution and trajectory caches (zero rows are omitted so
-    // non-grid experiments render unchanged).
+    // trajectory cache (zero rows are omitted so non-grid experiments
+    // render unchanged).
     let ff = vgrid_grid::fastforward::stats();
     let base = cap.ff_baseline;
-    let seg_hits = ff.segment_hits - base.segment_hits;
-    let seg_misses = ff.segment_misses - base.segment_misses;
-    if seg_hits + seg_misses > 0 {
-        metrics.counter_add("grid.fastforward.segment_hits", seg_hits);
-        metrics.counter_add("grid.fastforward.segment_misses", seg_misses);
-        metrics.gauge_add(
-            "grid.fastforward.segment_hit_rate",
-            seg_hits as f64 / (seg_hits + seg_misses) as f64,
-        );
-    }
     let traj_hits = ff.trajectory_hits - base.trajectory_hits;
     let traj_misses = ff.trajectory_misses - base.trajectory_misses;
     if traj_hits + traj_misses > 0 {

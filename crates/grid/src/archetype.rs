@@ -1,31 +1,28 @@
-//! Host archetypes and the memoized per-archetype segment solver.
+//! Host archetypes and the per-archetype segment solver.
 //!
 //! A campaign's hosts fall into a small number of **archetypes** —
 //! machine config × deploy mode × churn class, refined by the pool's
 //! speed band and RAM eligibility. Between external events every host
 //! of an archetype advances analytically at the same reference rate per
-//! host-second (scaled only by its own speed draw), so the expensive
-//! part of the segment solve — dilating the Einstein instruction mix
-//! through the machine model — is computed once per distinct deploy
-//! mode and memoized process-wide. The keying discipline mirrors
-//! `machine`'s `ContentionCache`: a canonical string over the full
-//! configuration (the `Debug` form of the execution mode, calibrated
-//! profile fields included), so two profiles sharing a display name but
-//! differing in any parameter never collide.
+//! host-second (scaled only by its own speed draw), so the segment
+//! solve — dilating the Einstein instruction mix through the machine
+//! model — runs once per campaign, not once per host. The kernel
+//! characterization underneath is memoized process-wide by
+//! `workloads::kernel`, which leaves two solo estimates per solve: too
+//! cheap for a grid-level memo to pay for its lookup. [`solver_key`]
+//! names a deploy mode by its full `Debug` form (calibrated profile
+//! fields included), so two profiles sharing a display name but
+//! differing in any parameter never share a hydration probe.
 //!
-//! **Bit-identity rule** (DESIGN.md §12): the solver memoizes only the
-//! *inputs* to the per-host rate (`vm_factor`, `ckpt_frac`); the rate
-//! itself is always evaluated in the exact operation order of the
-//! pre-archetype simulator — `speed / vm_factor * (1.0 -
-//! ckpt_frac).max(0.05)` — so a memo hit can never move a bit relative
-//! to the `--hydrated-reference` substrate, which calls
-//! [`solve_direct`] and recomputes the dilation from scratch.
+//! **Bit-identity rule** (DESIGN.md §12): the per-host rate is always
+//! evaluated in the exact operation order of the pre-archetype
+//! simulator — `speed / vm_factor * (1.0 - ckpt_frac).max(0.05)` — on
+//! both substrates, and `CampaignSpec::build`'s deadline check uses the
+//! same expression through [`SegmentSolution::rate`].
 
 use crate::checkpoint::write_overhead_frac;
 use crate::faults::ChurnConfig;
 use crate::model::{DeployConfig, ExecutionMode};
-use std::sync::Mutex;
-use vgrid_simcore::DetMap;
 
 /// The reference volunteer machine the pool's speed multipliers are
 /// relative to (the paper's testbed desktop).
@@ -132,8 +129,8 @@ pub struct SegmentSolution {
 
 impl SegmentSolution {
     /// Reference seconds of science per host-second for a host with the
-    /// given speed multiplier. Exact operation order of the
-    /// pre-archetype simulator — memoization cannot move a bit.
+    /// given speed multiplier, in the exact operation order of the
+    /// pre-archetype simulator.
     pub fn rate(&self, speed: f64) -> f64 {
         speed / self.vm_factor * (1.0 - self.ckpt_frac).max(0.05)
     }
@@ -155,55 +152,10 @@ pub fn solver_key(mode: &ExecutionMode) -> String {
     format!("{mode:?}")
 }
 
-static VM_FACTOR_MEMO: Mutex<Option<DetMap<String, f64>>> = Mutex::new(None);
-
-/// Drop the memo, part of [`crate::fastforward::reset_all`]'s cold-state
-/// contract.
-pub(crate) fn reset_vm_factor_memo() {
-    *VM_FACTOR_MEMO
-        .lock()
-        .expect("grid::archetype::VM_FACTOR_MEMO poisoned") = None;
-}
-
-/// [`crate::sim::vm_cpu_factor`] behind a process-wide memo keyed by
-/// [`solver_key`]. The dilation is a pure function of the mode, so the
-/// memo returns bit-identical values in any call order.
-pub fn memoized_vm_cpu_factor(mode: &ExecutionMode) -> f64 {
-    let key = solver_key(mode);
-    let mut guard = VM_FACTOR_MEMO
-        .lock()
-        .expect("grid::archetype::VM_FACTOR_MEMO poisoned");
-    let memo = guard.get_or_insert_with(DetMap::new);
-    if let Some(&factor) = memo.get(&key) {
-        return factor;
-    }
-    let factor = crate::sim::vm_cpu_factor(mode);
-    memo.insert(key, factor);
-    factor
-}
-
-/// Solve an archetype's segment constants, memoizing the expensive
-/// machine-model dilation per deploy mode (the batched substrate).
-/// With `fastforward` on (`RunOptions::fastforward`) the whole
-/// solution — dilation *and* checkpoint fraction — comes from the
-/// process-wide segment-solution cache (keyed per contention-steady
-/// configuration); the kill switch falls back to the per-mode dilation
-/// memo alone.
-pub fn solve_with(deploy: &DeployConfig, fastforward: bool) -> SegmentSolution {
-    if fastforward {
-        return crate::fastforward::segment_solution(deploy);
-    }
-    SegmentSolution {
-        vm_factor: memoized_vm_cpu_factor(&deploy.mode),
-        ckpt_frac: write_overhead_frac(checkpoint_state_bytes(deploy), deploy.checkpoint_interval),
-    }
-}
-
-/// Reference solver: recompute the dilation from scratch, bypassing the
-/// memo (the `--hydrated-reference` substrate), so memoization itself
-/// sits under the equivalence tests. Only the science block's kernel
-/// characterization is shared, a pure function of fixed parameters.
-pub fn solve_direct(deploy: &DeployConfig) -> SegmentSolution {
+/// Solve a deploy config's segment constants from scratch: the machine-
+/// model dilation of the science kernel and the checkpoint duty cycle.
+/// Both substrates call this once per campaign.
+pub fn solve(deploy: &DeployConfig) -> SegmentSolution {
     SegmentSolution {
         vm_factor: crate::sim::vm_cpu_factor(&deploy.mode),
         ckpt_frac: write_overhead_frac(checkpoint_state_bytes(deploy), deploy.checkpoint_interval),
@@ -214,23 +166,6 @@ pub fn solve_direct(deploy: &DeployConfig) -> SegmentSolution {
 mod tests {
     use super::*;
     use vgrid_vmm::VmmProfile;
-
-    #[test]
-    fn memo_matches_direct_solve_bitwise() {
-        for deploy in [
-            DeployConfig::native(),
-            DeployConfig::vm(VmmProfile::qemu(), 300 << 20),
-            DeployConfig::vm(VmmProfile::vmplayer(), 300 << 20),
-        ] {
-            let direct = solve_direct(&deploy);
-            // Twice per arm: a cold miss and a warm hit must both agree.
-            for fastforward in [false, true, false, true] {
-                let memo = solve_with(&deploy, fastforward);
-                assert_eq!(memo.vm_factor.to_bits(), direct.vm_factor.to_bits());
-                assert_eq!(memo.ckpt_frac.to_bits(), direct.ckpt_frac.to_bits());
-            }
-        }
-    }
 
     #[test]
     fn solver_key_distinguishes_profile_fields() {

@@ -22,10 +22,9 @@
 //! assert!(result.metric("goodput").mean >= 0.0);
 //! ```
 
-use crate::checkpoint::write_overhead_frac;
 use crate::error::Error;
 use crate::faults::ChurnConfig;
-use crate::model::{DeployConfig, ExecutionMode, GridReport, PoolConfig, ProjectConfig};
+use crate::model::{DeployConfig, GridReport, PoolConfig, ProjectConfig};
 use crate::options::RunOptions;
 use crate::sim::run_campaign_substrate;
 use vgrid_simcore::{OnlineStats, RepetitionRunner, SimTime, Summary};
@@ -191,11 +190,12 @@ impl CampaignSpec {
             return invalid("volunteers must be > 0".into());
         }
         if !pool.speed_range.0.is_finite()
+            || !pool.speed_range.1.is_finite()
             || pool.speed_range.0 <= 0.0
             || pool.speed_range.0 > pool.speed_range.1
         {
             return invalid(format!(
-                "speed_range {:?} must be positive and ordered",
+                "speed_range {:?} must be finite, positive and ordered",
                 pool.speed_range
             ));
         }
@@ -230,16 +230,9 @@ impl CampaignSpec {
 
         // The fastest possible host must be able to compute a work unit
         // inside the reissue deadline, or every copy expires forever.
-        // The memoized factor is bit-identical to the direct one (the
-        // memo caches solver inputs only), so validation agrees with
-        // the simulation under every `RunOptions`.
-        let vm_factor = crate::archetype::memoized_vm_cpu_factor(&self.deploy.mode);
-        let state_bytes = match &self.deploy.mode {
-            ExecutionMode::Native => self.deploy.native_checkpoint_bytes,
-            ExecutionMode::Vm(vmm) => vmm.guest_ram,
-        };
-        let ckpt_frac = write_overhead_frac(state_bytes, self.deploy.checkpoint_interval);
-        let best_rate = pool.speed_range.1 / vm_factor * (1.0 - ckpt_frac).max(0.05);
+        // The simulator solves the same segment, so validation agrees
+        // with it under every `RunOptions`.
+        let best_rate = crate::archetype::solve(&self.deploy).rate(pool.speed_range.1);
         let needed_secs = p.wu_ref_secs / best_rate;
         let deadline_secs = p.deadline.as_secs_f64();
         if deadline_secs < needed_secs {
@@ -392,6 +385,7 @@ impl CampaignResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::migration::MigrationPolicy;
     use crate::sim::SubstrateMode;
     use vgrid_simcore::SimDuration;
     use vgrid_vmm::VmmProfile;
@@ -537,6 +531,57 @@ mod tests {
             assert_eq!(batched.reports(), reference.reports(), "{}", batched.label);
             assert!(batched.reports()[0].makespan_secs <= day.as_secs_f64());
         }
+    }
+
+    #[test]
+    fn full_width_byte_sizes_saturate_instead_of_overflowing() {
+        // `u64::MAX` sizes reach the RAM draw, the headroom check and
+        // the checkpoint-transfer price. Each must saturate: no panic
+        // in debug builds, no wrap in release builds.
+        let day = SimTime::from_secs(24 * 3600);
+        let eight = PoolConfig {
+            volunteers: 8,
+            ..Default::default()
+        };
+        let full_ram_range = quick_spec()
+            .pool(PoolConfig {
+                ram_range: (0, u64::MAX),
+                ..eight.clone()
+            })
+            .horizon(day);
+        let endless_headroom = quick_spec()
+            .pool(eight)
+            .deploy(DeployConfig {
+                host_headroom_bytes: u64::MAX,
+                ..DeployConfig::vm(VmmProfile::qemu(), 300 << 20)
+            })
+            .horizon(day);
+        let endless_export = quick_spec()
+            .deploy(DeployConfig {
+                native_checkpoint_bytes: u64::MAX,
+                ..DeployConfig::native().with_policy(MigrationPolicy::full())
+            })
+            .churn(ChurnConfig::intensity(1.0))
+            .horizon(day);
+        let reports: Vec<GridReport> = [full_ram_range, endless_headroom, endless_export]
+            .into_iter()
+            .map(|spec| {
+                let campaign = spec.build().expect("valid spec");
+                let batched = campaign.run();
+                let reference = campaign
+                    .run_with(&RunOptions::default().substrate(SubstrateMode::HydratedReference));
+                assert_eq!(batched.reports(), reference.reports(), "{}", batched.label);
+                batched.reports()[0].clone()
+            })
+            .collect();
+        assert_eq!(
+            reports[1].hosts_excluded_ram, 8,
+            "no host fits endless headroom"
+        );
+        assert!(
+            reports[2].transfer_secs > 0.0,
+            "the huge checkpoint was exported"
+        );
     }
 
     #[test]

@@ -1,45 +1,35 @@
-//! Whole-trial analytic fast-forward: cross-sweep memoization, prefix
-//! trajectory reuse, and arena-batched repetitions.
+//! Whole-trial analytic fast-forward: prefix trajectory reuse and lazy
+//! work-queue materialization.
 //!
 //! The paper's figures are parameter sweeps (VMM × workload ×
 //! checkpoint interval × churn), and neighbouring sweep points re-run
-//! near-identical trajectories. This module holds the three process-wide
-//! reuse layers the sweep hot loop leans on (DESIGN.md §13):
+//! near-identical trajectories. This module holds the two reuse layers
+//! the sweep hot loop leans on (DESIGN.md §13):
 //!
-//! 1. **Segment-solution cache** — generalizes the per-mode
-//!    `vm_cpu_factor` memo of [`crate::archetype`] to the full
-//!    contention-steady segment identity (deploy mode × checkpoint
-//!    state × interval), mirroring `machine`'s `ContentionCache` keying
-//!    discipline. The cache stores solver *inputs* only; the per-host
-//!    rate is still evaluated in the exact legacy operation order, so a
-//!    hit can never move a bit.
-//! 2. **Trajectory cache** — a completed campaign's loop-exit state is
+//! 1. **Trajectory cache** — a completed campaign's loop-exit state is
 //!    snapshotted per full configuration key (project, pool, deploy,
 //!    churn, seed — everything *except* the horizon, the one divergence
 //!    axis that provably only affects the future). A later trial of the
 //!    same configuration with a longer horizon resumes from the stored
 //!    prefix instead of t=0. This is what turns the engine's
-//!    whole-`TrialResult` cache into partial-trajectory reuse.
-//! 3. **Campaign arena** — a thread-local buffer pool recycling the
-//!    per-repetition host/copy/event scratch vectors, so batched
-//!    independent repetitions stop paying a fresh round of large
-//!    allocations per trial.
+//!    whole-`TrialResult` cache into partial-trajectory reuse, and it is
+//!    the only process-wide grid cache.
+//! 2. **Lazy work queue** — fresh task copies stay a virtual cursor
+//!    until a host takes one, instead of being materialized up front.
 //!
 //! Everything here is behaviour-transparent by contract: the
 //! hydrated-reference substrate and the kill switch
-//! (`RunOptions::fastforward`, `--no-fastforward` on the CLI) bypass
-//! every cache, and the equivalence suites plus `bench.sh --check` pin
-//! the fast path bit-identical to both.
+//! (`RunOptions::fastforward`, `--no-fastforward` on the CLI) skip the
+//! trajectory cache and run the eager queue, and the equivalence suites
+//! plus `bench.sh --check` pin the fast path bit-identical to both.
 
 use crate::faults::ChurnConfig;
-use crate::model::{DeployConfig, ExecutionMode, PoolConfig, ProjectConfig};
-use crate::sim::{CampaignCheckpoint, HostSlot, TaskCopy, Work};
-use std::cell::RefCell;
+use crate::model::{DeployConfig, PoolConfig, ProjectConfig};
+use crate::sim::{CampaignCheckpoint, TaskCopy, Work};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use vgrid_simcore::{DetMap, SimTime};
-use vgrid_simobs::fnv1a64;
 
 /// Upper bound on distinct configurations the trajectory cache retains;
 /// the oldest-inserted configuration is evicted beyond it. Eviction only
@@ -55,8 +45,6 @@ const TRAJECTORY_HORIZON_CAP: usize = 4;
 /// checkpoint would cost more memory than the replay it saves.
 const TRAJECTORY_MAX_HOSTS: usize = 20_000;
 
-static SEGMENT_HITS: AtomicU64 = AtomicU64::new(0);
-static SEGMENT_MISSES: AtomicU64 = AtomicU64::new(0);
 static TRAJECTORY_HITS: AtomicU64 = AtomicU64::new(0);
 static TRAJECTORY_MISSES: AtomicU64 = AtomicU64::new(0);
 
@@ -64,9 +52,10 @@ static TRAJECTORY_MISSES: AtomicU64 = AtomicU64::new(0);
 /// `simobs::MetricsRegistry` by observed runs (delta over the capture).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastForwardStats {
-    /// Segment-solution + probe-measurement cache hits.
+    /// Always zero: no segment or probe memo is left to hit. Kept
+    /// because the repository benchmark (`perfbench/child.rs`) reads it.
     pub segment_hits: u64,
-    /// Segment-solution + probe-measurement cache misses (cold solves).
+    /// Always zero, like [`FastForwardStats::segment_hits`].
     pub segment_misses: u64,
     /// Campaigns resumed from a stored prefix trajectory.
     pub trajectory_hits: u64,
@@ -77,106 +66,10 @@ pub struct FastForwardStats {
 /// Snapshot the process-wide counters.
 pub fn stats() -> FastForwardStats {
     FastForwardStats {
-        segment_hits: SEGMENT_HITS.load(Ordering::Relaxed),
-        segment_misses: SEGMENT_MISSES.load(Ordering::Relaxed),
         trajectory_hits: TRAJECTORY_HITS.load(Ordering::Relaxed),
         trajectory_misses: TRAJECTORY_MISSES.load(Ordering::Relaxed),
+        ..FastForwardStats::default()
     }
-}
-
-// ---------------------------------------------------------------------
-// Segment-solution cache (cross-sweep, process-wide).
-// ---------------------------------------------------------------------
-
-/// Canonical identity of a contention-steady segment: the deploy mode's
-/// full solver key (FNV-digested, like the engine's `TrialKey`) plus
-/// the checkpoint state/interval that shape the write-overhead
-/// fraction. Mirrors `machine::ContentionCache`'s keying (runnable-set
-/// ≘ the steady single-task segment, mode, and — at the consumer — the
-/// host's speed band, which scales the rate outside the cached
-/// constants).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct SegmentKey {
-    /// FNV-1a digest of [`crate::archetype::solver_key`] for the mode.
-    solver: u64,
-    /// Checkpoint state size in bytes (zero when checkpointing is off).
-    ckpt_bytes: u64,
-    /// Checkpoint interval in integer picoseconds.
-    interval_ps: u64,
-}
-
-fn segment_key(deploy: &DeployConfig) -> SegmentKey {
-    SegmentKey {
-        solver: fnv1a64(crate::archetype::solver_key(&deploy.mode).as_bytes()),
-        ckpt_bytes: crate::archetype::checkpoint_state_bytes(deploy),
-        interval_ps: deploy.checkpoint_interval.as_picos(),
-    }
-}
-
-static SEGMENT_MEMO: Mutex<Option<DetMap<SegmentKey, crate::archetype::SegmentSolution>>> =
-    Mutex::new(None);
-
-/// Segment solution for a deploy config behind the process-wide cache.
-/// Stores solver *inputs* only (DESIGN.md §12/§13); both fields are pure
-/// functions of the deploy config, so hits are bit-identical in any
-/// call order.
-pub(crate) fn segment_solution(deploy: &DeployConfig) -> crate::archetype::SegmentSolution {
-    let key = segment_key(deploy);
-    {
-        let mut guard = SEGMENT_MEMO
-            .lock()
-            .expect("grid::fastforward::SEGMENT_MEMO poisoned");
-        if let Some(&solution) = guard.get_or_insert_with(DetMap::new).get(&key) {
-            SEGMENT_HITS.fetch_add(1, Ordering::Relaxed);
-            return solution;
-        }
-    }
-    SEGMENT_MISSES.fetch_add(1, Ordering::Relaxed);
-    let solution = crate::archetype::SegmentSolution {
-        vm_factor: crate::archetype::memoized_vm_cpu_factor(&deploy.mode),
-        ckpt_frac: crate::checkpoint::write_overhead_frac(
-            crate::archetype::checkpoint_state_bytes(deploy),
-            deploy.checkpoint_interval,
-        ),
-    };
-    let mut guard = SEGMENT_MEMO
-        .lock()
-        .expect("grid::fastforward::SEGMENT_MEMO poisoned");
-    guard.get_or_insert_with(DetMap::new).insert(key, solution);
-    solution
-}
-
-/// FNV-1a digest of a mode's [`crate::archetype::solver_key`], keying
-/// the probe-dilation cache without retaining the full `Debug` string.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct DilationKey(u64);
-
-static MEASURED_DILATION: Mutex<Option<DetMap<DilationKey, f64>>> = Mutex::new(None);
-
-/// Hydration-probe dilation for a mode behind the process-wide cache:
-/// the measurement is a pure function of the mode (fixed probe seed),
-/// so a hit returns the bit-identical ratio the reference substrate
-/// measures from scratch. Only the batched substrate consults this —
-/// the per-campaign hydration memo bookkeeping (and therefore
-/// `HydrationStats`) is untouched.
-pub(crate) fn measured_dilation(mode: &ExecutionMode) -> f64 {
-    let key = DilationKey(fnv1a64(crate::archetype::solver_key(mode).as_bytes()));
-    {
-        let mut guard = MEASURED_DILATION
-            .lock()
-            .expect("grid::fastforward::MEASURED_DILATION poisoned");
-        if let Some(&factor) = guard.get_or_insert_with(DetMap::new).get(&key) {
-            SEGMENT_HITS.fetch_add(1, Ordering::Relaxed);
-            return factor;
-        }
-    }
-    SEGMENT_MISSES.fetch_add(1, Ordering::Relaxed);
-    let factor = crate::hydrate::measure_dilation_direct(mode);
-    let mut guard = MEASURED_DILATION
-        .lock()
-        .expect("grid::fastforward::MEASURED_DILATION poisoned");
-    guard.get_or_insert_with(DetMap::new).insert(key, factor);
-    factor
 }
 
 // ---------------------------------------------------------------------
@@ -377,122 +270,49 @@ impl WorkQueue {
     }
 }
 
-// ---------------------------------------------------------------------
-// Campaign arena.
-// ---------------------------------------------------------------------
-
-/// Thread-local buffer pool recycling the per-repetition scratch
-/// allocations of the campaign loop. Lifetime contract (DESIGN.md §13):
-/// buffers are taken at campaign start, owned exclusively for the run,
-/// cleared (not shrunk) and returned at campaign end; trajectory
-/// snapshots are deep clones, never arena-backed, so a stored
-/// checkpoint can outlive any number of later arena reuses.
-#[derive(Debug, Default)]
-pub(crate) struct CampaignArena {
-    pub(crate) hosts: Vec<HostSlot>,
-    pub(crate) copies: Vec<TaskCopy>,
-}
-
-thread_local! {
-    // simlint: allow(send-clean) -- thread-confined by construction: buffers are taken and returned on one thread, and trajectory snapshots are deep clones, never arena-backed
-    static ARENA: RefCell<CampaignArena> = RefCell::new(CampaignArena::default());
-}
-
-/// Take the thread's arena buffers (empty, capacity retained).
-pub(crate) fn arena_take() -> CampaignArena {
-    ARENA.with(|cell| std::mem::take(&mut *cell.borrow_mut()))
-}
-
-/// Return buffers to the thread's arena for the next repetition.
-pub(crate) fn arena_put(mut arena: CampaignArena) {
-    arena.hosts.clear();
-    arena.copies.clear();
-    ARENA.with(|cell| *cell.borrow_mut() = arena);
-}
-
-/// Test hook, registered in `GLOBALS.toml`: clear every fast-forward
-/// reuse layer and counter (plus the archetype vm-factor memo and the
-/// calling thread's arena) so a test can force a provably cold state.
-/// Locks are taken one at a time in rank order, never nested.
+/// Test hook, registered in `GLOBALS.toml`: drop every stored
+/// trajectory and zero the counters so a test can force a provably
+/// cold state.
 pub fn reset_all() {
-    *SEGMENT_MEMO
-        .lock()
-        .expect("grid::fastforward::SEGMENT_MEMO poisoned") = None;
-    *MEASURED_DILATION
-        .lock()
-        .expect("grid::fastforward::MEASURED_DILATION poisoned") = None;
     *TRAJECTORIES
         .lock()
         .expect("grid::fastforward::TRAJECTORIES poisoned") = None;
-    crate::migration::reset_transfer_memo();
-    SEGMENT_HITS.store(0, Ordering::SeqCst);
-    SEGMENT_MISSES.store(0, Ordering::SeqCst);
     TRAJECTORY_HITS.store(0, Ordering::SeqCst);
     TRAJECTORY_MISSES.store(0, Ordering::SeqCst);
-    crate::archetype::reset_vm_factor_memo();
-    ARENA.with(|cell| *cell.borrow_mut() = CampaignArena::default());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::archetype;
-    use crate::model::DeployConfig;
     use vgrid_vmm::VmmProfile;
 
     #[test]
-    fn segment_cache_matches_direct_solve_bitwise() {
-        for deploy in [
-            DeployConfig::native(),
-            DeployConfig::vm(VmmProfile::qemu(), 300 << 20),
-        ] {
-            let direct = archetype::solve_direct(&deploy);
-            // Cold miss then warm hit must both agree with the
-            // from-scratch reference solve.
-            for _ in 0..2 {
-                let cached = segment_solution(&deploy);
-                assert_eq!(cached.vm_factor.to_bits(), direct.vm_factor.to_bits());
-                assert_eq!(cached.ckpt_frac.to_bits(), direct.ckpt_frac.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn segment_key_separates_checkpoint_config() {
-        let vm = DeployConfig::vm(VmmProfile::qemu(), 300 << 20);
-        let mut no_ckpt = vm.clone();
-        no_ckpt.checkpoint_interval = vgrid_simcore::SimDuration::ZERO;
-        assert_ne!(segment_key(&vm), segment_key(&no_ckpt));
-        assert_ne!(segment_key(&vm), segment_key(&DeployConfig::native()));
-        // The checkpoint axes stay plain integers (not digested), so
-        // the key separates them even under solver-digest equality.
-        assert_eq!(segment_key(&vm).solver, segment_key(&no_ckpt).solver);
-        assert_eq!(segment_key(&no_ckpt).interval_ps, 0);
-    }
-
-    #[test]
     fn reset_all_restores_a_cold_cache() {
-        // Memory size unique to this test so sibling tests running in
-        // parallel never insert the same key into the shared memo.
-        let deploy = DeployConfig::vm(VmmProfile::qemu(), 123 << 20);
-        let warm = segment_solution(&deploy);
+        // Pool size unique to this test so sibling tests running in
+        // parallel never store or look up the same trajectory key.
+        let project = ProjectConfig {
+            workunits: 4,
+            ..Default::default()
+        };
+        let pool = PoolConfig {
+            volunteers: 13,
+            ..Default::default()
+        };
+        let deploy = DeployConfig::vm(VmmProfile::qemu(), 300 << 20);
+        let churn = ChurnConfig::off();
+        let horizon = SimTime::from_secs(24 * 3600);
+        let options = crate::options::RunOptions::default();
+        crate::sim::run_campaign_substrate(&project, &pool, &deploy, &churn, 5, horizon, &options);
+        let key = trajectory_key(&project, &pool, &deploy, &churn, 5);
+        assert!(
+            trajectory_lookup(&key, horizon).is_some(),
+            "snapshot stored"
+        );
         reset_all();
-        let before = stats();
-        // The post-reset lookup must re-solve (cold miss) and still
-        // land bit-identical to the pre-reset solution.
-        let cold = segment_solution(&deploy);
-        let after = stats();
-        assert!(after.segment_misses > before.segment_misses);
-        assert_eq!(cold.vm_factor.to_bits(), warm.vm_factor.to_bits());
-        assert_eq!(cold.ckpt_frac.to_bits(), warm.ckpt_frac.to_bits());
-    }
-
-    #[test]
-    fn measured_dilation_matches_direct_probe_bitwise() {
-        let mode = ExecutionMode::Vm(VmmProfile::vmplayer());
-        let direct = crate::hydrate::measure_dilation_direct(&mode);
-        assert_eq!(measured_dilation(&mode).to_bits(), direct.to_bits());
-        assert_eq!(measured_dilation(&mode).to_bits(), direct.to_bits());
+        assert!(
+            trajectory_lookup(&key, horizon).is_none(),
+            "reset_all must drop every stored trajectory"
+        );
     }
 
     #[test]
@@ -541,17 +361,5 @@ mod tests {
         for wu in 0..3 {
             assert_eq!(lazy_v.issued(wu), eager_v.issued(wu));
         }
-    }
-
-    #[test]
-    fn arena_retains_capacity_across_runs() {
-        let mut arena = arena_take();
-        arena.hosts.reserve(64);
-        let cap = arena.hosts.capacity();
-        arena.hosts.clear();
-        arena_put(arena);
-        let again = arena_take();
-        assert!(again.hosts.capacity() >= cap, "capacity must be retained");
-        arena_put(again);
     }
 }

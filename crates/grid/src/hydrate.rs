@@ -16,9 +16,11 @@
 //! identical on the batched and `--hydrated-reference` substrates.
 //!
 //! The pool bounds concurrent systems ([`DEFAULT_HYDRATION_CAP`]):
-//! least-recently-hydrated probes retire first, and a per-archetype
-//! measurement memo keeps million-host campaigns from re-running the
-//! machine model for every window.
+//! least-recently-hydrated probes retire first, and a per-campaign
+//! measurement memo keyed by (archetype, speed band) keeps million-host
+//! campaigns from re-running the probe pair for every window. Both
+//! substrates measure the first window of each key with
+//! [`measure_dilation`]; nothing is shared across campaigns.
 
 use crate::archetype::SegmentSolution;
 use crate::model::ExecutionMode;
@@ -105,11 +107,6 @@ pub struct HydrationPool {
     /// Per-(archetype, speed-band) measurement memo — one probe
     /// residency per band per campaign, however many windows fire.
     measured: DetMap<String, (f64, u64)>,
-    /// Route the expensive machine-model replay through the
-    /// process-wide memo in [`crate::fastforward`]. Affects only the
-    /// cost of obtaining the (deterministic) measurement — every
-    /// counter in [`HydrationStats`] is identical either way.
-    use_global: bool,
     stats: HydrationStats,
 }
 
@@ -125,16 +122,8 @@ impl HydrationPool {
             capacity: capacity.max(1),
             resident: Vec::new(),
             measured: DetMap::new(),
-            use_global: false,
             stats: HydrationStats::default(),
         }
-    }
-
-    /// Toggle the process-wide measurement memo (used by the batched
-    /// substrate when fast-forward is enabled).
-    pub(crate) fn with_global_memo(mut self, on: bool) -> Self {
-        self.use_global = on;
-        self
     }
 
     /// Observe one interesting-event window for an archetype at a host
@@ -151,11 +140,7 @@ impl HydrationPool {
             Self::check(&key, factor, spec.solution.vm_factor);
             return;
         }
-        let factor = if self.use_global {
-            crate::fastforward::measured_dilation(&spec.mode)
-        } else {
-            measure_dilation_direct(&spec.mode)
-        };
+        let factor = measure_dilation(&spec.mode);
         let bytes = probe_footprint_bytes(&spec.mode);
         Self::check(&key, factor, spec.solution.vm_factor);
         self.measured.insert(key.clone(), (factor, bytes));
@@ -199,10 +184,9 @@ impl HydrationPool {
 
 /// Materialize the probe pair: run the science block on a testbed
 /// system under the native and the dilated instruction mix, and
-/// return the measured wall-time dilation. This is the single
-/// ground-truth measurement; the process-wide memo in
-/// [`crate::fastforward`] only caches its (deterministic) result.
-pub(crate) fn measure_dilation_direct(mode: &ExecutionMode) -> f64 {
+/// return the measured wall-time dilation. Deterministic (fixed probe
+/// seed), so every campaign measures the same ratio for a mode.
+pub(crate) fn measure_dilation(mode: &ExecutionMode) -> f64 {
     let block = crate::sim::science_block();
     let native = run_probe(block.clone());
     let dilated = match mode {
@@ -247,7 +231,7 @@ impl Default for HydrationPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::archetype::{solve_direct, solver_key};
+    use crate::archetype::{solve, solver_key};
     use crate::model::DeployConfig;
     use vgrid_vmm::VmmProfile;
 
@@ -255,7 +239,7 @@ mod tests {
         ProbeSpec {
             key: solver_key(&deploy.mode),
             mode: deploy.mode.clone(),
-            solution: solve_direct(deploy),
+            solution: solve(deploy),
         }
     }
 
@@ -294,17 +278,6 @@ mod tests {
         assert_eq!(stats.hydrations, 2, "bands key distinct residencies");
         assert_eq!(stats.peak_resident, 2);
         assert!(stats.peak_resident_bytes > 0);
-    }
-
-    #[test]
-    fn global_memo_is_bit_identical_to_direct() {
-        let deploy = DeployConfig::vm(VmmProfile::qemu(), 300 << 20);
-        let mut direct = HydrationPool::new();
-        direct.window(&spec_for(&deploy), 2);
-        let mut global = HydrationPool::new().with_global_memo(true);
-        global.window(&spec_for(&deploy), 2);
-        assert_eq!(direct.stats(), global.stats());
-        assert_eq!(direct.resident, global.resident);
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl SchedulerMode {
 
 /// Execution options for one campaign or trial run. Defaults reproduce
 /// the production configuration: coalesced scheduler, batched host
-/// substrate, fast-forward caches on.
+/// substrate, fast-forward on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOptions {
     /// Scheduler execution mode (engine trials; grid campaigns run on
@@ -43,9 +43,10 @@ pub struct RunOptions {
     /// Grid host substrate (`--hydrated-reference` selects the
     /// reference substrate).
     pub substrate: SubstrateMode,
-    /// Whether the analytic fast-forward caches are consulted
-    /// (`--no-fastforward` disables them). Results are bit-identical
-    /// either way; the switch exists for A/B cache pricing.
+    /// Whether the analytic fast-forward layers run: the trajectory
+    /// cache and the lazy work queue (`--no-fastforward` disables
+    /// both). Results are bit-identical either way; the switch exists
+    /// for A/B cache pricing.
     pub fastforward: bool,
 }
 
@@ -72,7 +73,7 @@ impl RunOptions {
         self
     }
 
-    /// Enable or disable the fast-forward caches.
+    /// Enable or disable the fast-forward layers.
     pub fn fastforward(mut self, on: bool) -> Self {
         self.fastforward = on;
         self

@@ -26,7 +26,7 @@
 
 use crate::archetype::{self, ArchetypeKey};
 use crate::checkpoint::{durable_progress, BackoffPolicy, BackoffState, QuorumValidator};
-use crate::fastforward::{self, CampaignArena, WorkQueue};
+use crate::fastforward::{self, WorkQueue};
 use crate::faults::{self, ChurnConfig};
 use crate::hydrate::{HydrationPool, ProbeSpec};
 use crate::migration;
@@ -214,17 +214,18 @@ struct FaultCtx<'a> {
 
 /// Which host substrate executes a campaign. The two substrates are
 /// **bit-identical by contract**: they share every piece of
-/// host-stepping logic and differ only in the event-queue
-/// implementation and in whether the archetype solver's memo is
-/// consulted — both validated by the `hydration_equivalence` and
-/// `hydration_reference` test suites.
+/// host-stepping logic, the segment solver, the hydration probes and
+/// the transfer price, and differ only in the event queue, in how the
+/// work queue materializes, and in trajectory reuse — all validated by
+/// the `hydration_equivalence` and `hydration_reference` test suites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubstrateMode {
     /// Archetype-batched analytic substrate on the sharded calendar
-    /// queue with the memoized segment solver (the default).
+    /// queue, with the lazy work queue and the trajectory cache while
+    /// fast-forward is on (the default).
     Batched,
-    /// Reference substrate: flat binary-heap event queue, solver
-    /// recomputed from scratch (`--hydrated-reference`).
+    /// Reference substrate: flat binary-heap event queue, eager work
+    /// queue, no trajectory reuse (`--hydrated-reference`).
     HydratedReference,
 }
 
@@ -249,8 +250,8 @@ pub(crate) fn run_campaign_substrate(
     horizon: SimTime,
     options: &RunOptions,
 ) -> GridReport {
-    let (substrate, ff) = (options.substrate, options.fastforward);
-    match substrate {
+    let ff = options.fastforward;
+    match options.substrate {
         SubstrateMode::Batched => {
             let key = ff.then(|| fastforward::trajectory_key(project, pool, deploy, churn, seed));
             if let Some(key) = key.as_deref() {
@@ -265,7 +266,6 @@ pub(crate) fn run_campaign_substrate(
                 churn,
                 seed,
                 horizon,
-                substrate,
                 ff,
                 CalendarQueue::new(),
                 key.as_deref(),
@@ -278,8 +278,7 @@ pub(crate) fn run_campaign_substrate(
             churn,
             seed,
             horizon,
-            substrate,
-            ff,
+            false,
             EventQueue::new(),
             None,
         ),
@@ -309,10 +308,6 @@ pub(crate) struct SimState {
     /// export contends with these (migration policy only — always zero
     /// otherwise).
     inflight_xfers: u32,
-    /// Whether the transfer-cost memo may be consulted (batched
-    /// substrate with fast-forward on). Rides the snapshot so resumed
-    /// runs keep the cold run's cache discipline.
-    use_memo: bool,
 }
 
 /// A campaign trajectory frozen at its loop exit: the full mutable
@@ -363,9 +358,11 @@ fn resume_campaign(
 }
 
 /// The campaign loop, generic over the event-queue implementation so
-/// both substrates execute literally the same host-stepping code. With
-/// `store_key` set (batched substrate, fast-forward on), the loop-exit
-/// state is snapshotted into the trajectory cache before accounting.
+/// both substrates execute literally the same host-stepping code.
+/// `lazy_queue` picks the work-queue materialization (batched
+/// substrate, fast-forward on). With `store_key` set (the same case),
+/// the loop-exit state is snapshotted into the trajectory cache before
+/// accounting.
 #[allow(clippy::too_many_arguments)]
 fn run_campaign_on<Q: EventScheduler<Ev>>(
     project: &ProjectConfig,
@@ -374,8 +371,7 @@ fn run_campaign_on<Q: EventScheduler<Ev>>(
     churn: &ChurnConfig,
     seed: u64,
     horizon: SimTime,
-    substrate: SubstrateMode,
-    ff: bool,
+    lazy_queue: bool,
     mut q: Q,
     store_key: Option<&str>,
 ) -> GridReport {
@@ -385,7 +381,7 @@ fn run_campaign_on<Q: EventScheduler<Ev>>(
         on: !churn.is_off(),
     };
     let mut st = init_state(
-        project, pool, deploy, churn, seed, substrate, ff, &fctx, &mut q,
+        project, pool, deploy, churn, seed, lazy_queue, &fctx, &mut q,
     );
     let carried = run_loop(&mut st, &mut q, project, pool, deploy, &fctx, horizon);
     store_and_finalize(st, q, carried, project, deploy, horizon, store_key)
@@ -400,20 +396,13 @@ fn init_state<Q: EventScheduler<Ev>>(
     deploy: &DeployConfig,
     churn: &ChurnConfig,
     seed: u64,
-    substrate: SubstrateMode,
-    ff: bool,
+    lazy_queue: bool,
     fctx: &FaultCtx<'_>,
     q: &mut Q,
 ) -> SimState {
     let rng = SimRng::new(seed ^ 0x617d_517d);
-    // Per-archetype segment solve. The batched substrate consults the
-    // process-wide memo; the reference substrate recomputes from
-    // scratch. Both produce bit-identical constants (the memo stores
-    // only solver *inputs* — see `crate::archetype`).
-    let solution = match substrate {
-        SubstrateMode::Batched => archetype::solve_with(deploy, ff),
-        SubstrateMode::HydratedReference => archetype::solve_direct(deploy),
-    };
+    // Per-archetype segment solve, identical on both substrates.
+    let solution = archetype::solve(deploy);
     let vm_factor = solution.vm_factor;
     // Checkpoint overhead: fraction of host time spent writing state.
     let ckpt_frac = solution.ckpt_frac;
@@ -427,14 +416,10 @@ fn init_state<Q: EventScheduler<Ev>>(
         ..Default::default()
     };
 
-    // The fast-forward layers serve only the batched substrate; the
-    // reference substrate (and the kill switch) recompute everything.
-    let fast = substrate == SubstrateMode::Batched && ff;
-
     // Lazy-hydration pool: full-fidelity probe systems materialized in
     // windows around interesting events, cross-checking the analytic
     // ledger. Probes observe only — they draw no host randomness.
-    let hpool = HydrationPool::new().with_global_memo(fast);
+    let hpool = HydrationPool::new();
     let probe = ProbeSpec {
         key: archetype::solver_key(&deploy.mode),
         mode: deploy.mode.clone(),
@@ -443,25 +428,23 @@ fn init_state<Q: EventScheduler<Ev>>(
 
     // Build hosts, bucketing each into its archetype as we go (an
     // index map instead of per-host label strings: a million-host pool
-    // collapses to a handful of archetypes). Host/copy buffers come
-    // from the thread's campaign arena, capacity recycled across
-    // batched repetitions.
-    let CampaignArena {
-        mut hosts,
-        copies: mut copies_buf,
-    } = fastforward::arena_take();
+    // collapses to a handful of archetypes).
     let cclass = archetype::churn_class(churn);
     let mut arch_index: DetMap<(u16, bool), u32> = DetMap::new();
     let mut arch_keys: Vec<ArchetypeKey> = Vec::new();
     let mut arch_counts: Vec<u32> = Vec::new();
+    let mut hosts: Vec<HostSlot> = Vec::new();
     hosts.extend((0..pool.volunteers).map(|i| {
         let mut hrng = rng.fork(1000 + i as u64);
         // Fork the fault stream *before* the legacy draws; forking
         // never advances `hrng`, so speed/RAM draws are unchanged.
         let frng = hrng.fork(77);
         let speed = hrng.range_f64(pool.speed_range.0, pool.speed_range.1);
-        let ram = pool.ram_range.0 + hrng.next_below(pool.ram_range.1 - pool.ram_range.0 + 1);
-        let excluded = guest_ram > 0 && ram < guest_ram + deploy.host_headroom_bytes;
+        // Saturating: a full-width `u64` RAM range or headroom must
+        // not wrap (every narrower input keeps its bits).
+        let ram = pool.ram_range.0
+            + hrng.next_below((pool.ram_range.1 - pool.ram_range.0).saturating_add(1));
+        let excluded = guest_ram > 0 && ram < guest_ram.saturating_add(deploy.host_headroom_bytes);
         let band = archetype::speed_band(speed);
         let arch = *arch_index.or_insert_with((band, !excluded), || {
             arch_keys.push(ArchetypeKey::new(deploy, &cclass, band, !excluded));
@@ -506,12 +489,12 @@ fn init_state<Q: EventScheduler<Ev>>(
     // and the kill switch run the legacy eager setup. Copy indices are
     // internal lookup keys, so the two schemes are report-identical.
     let mut validator = QuorumValidator::new(project.workunits, project.quorum);
-    let queue = if fast {
+    let mut copies = Vec::new();
+    let queue = if lazy_queue {
         WorkQueue::lazy(project)
     } else {
-        WorkQueue::eager(project, &mut copies_buf, &mut validator)
+        WorkQueue::eager(project, &mut copies, &mut validator)
     };
-    let copies = copies_buf;
 
     // Stagger initial power-ons.
     for (h, host) in hosts.iter_mut().enumerate() {
@@ -536,7 +519,6 @@ fn init_state<Q: EventScheduler<Ev>>(
         // the hosts that can take work instead of scanning the pool.
         idle: DetSet::new(),
         inflight_xfers: 0,
-        use_memo: fast,
     }
 }
 
@@ -554,7 +536,6 @@ fn run_loop<Q: EventScheduler<Ev>>(
 ) -> Option<(SimTime, Ev)> {
     let vm_factor = st.vm_factor;
     let ckpt_frac = st.ckpt_frac;
-    let use_memo = st.use_memo;
     let SimState {
         hosts,
         report,
@@ -987,7 +968,6 @@ fn run_loop<Q: EventScheduler<Ev>>(
                     vm_factor,
                     ckpt_frac,
                     !stranded,
-                    use_memo,
                     inflight_xfers,
                     report,
                     q,
@@ -1079,7 +1059,6 @@ fn run_loop<Q: EventScheduler<Ev>>(
                     vm_factor,
                     ckpt_frac,
                     true,
-                    use_memo,
                     inflight_xfers,
                     report,
                     q,
@@ -1153,8 +1132,7 @@ fn store_and_finalize<Q: EventScheduler<Ev>>(
     finalize(st, project, deploy, horizon)
 }
 
-/// Final accounting: fold the loop-exit state into the report and
-/// return the scratch buffers to the thread's campaign arena.
+/// Final accounting: fold the loop-exit state into the report.
 fn finalize(
     st: SimState,
     project: &ProjectConfig,
@@ -1167,7 +1145,6 @@ fn finalize(
         hpool,
         eligible_rate,
         validator,
-        copies,
         makespan,
         ..
     } = st;
@@ -1218,9 +1195,6 @@ fn finalize(
     // (substrate-independent) event stream, so the report stays
     // bit-identical across substrates.
     report.hydration = hpool.finish();
-    // Recycle the host/copy buffers for the next repetition on this
-    // thread (capacity is kept, contents are cleared).
-    fastforward::arena_put(CampaignArena { hosts, copies });
     report
 }
 
@@ -1372,7 +1346,6 @@ fn export_checkpoint<Q: EventScheduler<Ev>>(
     vm_factor: f64,
     ckpt_frac: f64,
     accrue: bool,
-    use_memo: bool,
     inflight_xfers: &mut u32,
     report: &mut GridReport,
     q: &mut Q,
@@ -1395,12 +1368,9 @@ fn export_checkpoint<Q: EventScheduler<Ev>>(
     };
     hosts[h].activity = None;
     hosts[h].act_gen += 1; // cancel the pending ActDone
-    let state_bytes = match &deploy.mode {
-        ExecutionMode::Native => deploy.native_checkpoint_bytes,
-        ExecutionMode::Vm(p) => p.guest_ram,
-    };
+    let state_bytes = archetype::checkpoint_state_bytes(deploy);
     // One server link: concurrent exports stretch each other linearly.
-    let base = migration::transfer_wire_secs(state_bytes, use_memo);
+    let base = migration::transfer_wire_secs(state_bytes);
     let secs = base * (1.0 + *inflight_xfers as f64);
     *inflight_xfers += 1;
     report.transfer_secs += secs;

@@ -923,20 +923,21 @@ pub fn spec_digest(spec: &CampaignSpec, options: &RunOptions) -> u64 {
     fnv1a64(render_request(spec, options).as_bytes())
 }
 
-/// Identity of the warm state a request heats up: everything the
-/// trajectory/segment caches key on — the configuration and seed, but
-/// *not* the horizon (a longer horizon of the same config resumes from
-/// the stored prefix) and not the label or options. Two requests with
-/// equal warm keys share cache lines; `vgrid serve` counts such
-/// overlaps as `serve.cache_cross_hits`.
+/// Identity of the warm state a request heats up: the FNV-1a digest of
+/// its trajectory-cache key — the configuration and seed, but *not* the
+/// horizon (a longer horizon of the same config resumes from the stored
+/// prefix) and not the label or options. Two requests with equal warm
+/// keys share trajectory snapshots; `vgrid serve` counts such overlaps
+/// as `serve.cache_cross_hits`.
 pub fn warm_key(spec: &CampaignSpec) -> u64 {
-    fnv1a64(
-        format!(
-            "{:?}|{:?}|{:?}|{:?}|{:#x}",
-            spec.project, spec.pool, spec.deploy, spec.churn, spec.seed
-        )
-        .as_bytes(),
-    )
+    let key = crate::fastforward::trajectory_key(
+        &spec.project,
+        &spec.pool,
+        &spec.deploy,
+        &spec.churn,
+        spec.seed,
+    );
+    fnv1a64(key.as_bytes())
 }
 
 /// Render the response manifest: a pure function of the request (the

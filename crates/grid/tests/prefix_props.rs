@@ -5,7 +5,7 @@
 //! interval x seed) and two horizons h1 < h2. The batched substrate
 //! runs h1 first (storing the prefix), then h2 (resuming from it); the
 //! hydrated-reference substrate runs the same horizons cold — it never
-//! consults the fast-forward caches, so it is a race-free ground truth.
+//! consults the trajectory cache, so it is a race-free ground truth.
 //! Campaigns have no scheduler mode (their hydration probes always
 //! coalesce), so the substrate is the only axis.
 

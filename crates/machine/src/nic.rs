@@ -29,9 +29,11 @@ impl LinkModel {
     }
 
     /// Wire time to carry `payload` bytes (all frames, back to back).
+    /// The on-wire byte count saturates at `u64::MAX` for hostile sizes.
     pub fn wire_time(&self, payload: u64) -> SimDuration {
         let frames = self.frames_for(payload);
-        let wire_bytes = payload + frames * self.per_frame_overhead as u64;
+        let wire_bytes =
+            payload.saturating_add(frames.saturating_mul(self.per_frame_overhead as u64));
         SimDuration::from_secs_f64(wire_bytes as f64 * 8.0 / self.rate_bps)
     }
 

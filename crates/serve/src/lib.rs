@@ -18,10 +18,10 @@
 //! interleaved duplicates and diffs every byte against a cold
 //! sequential run.
 //!
-//! Because runs share the process-wide fast-forward caches
+//! Because runs share the process-wide trajectory cache
 //! (`grid::fastforward`), a request whose configuration was already
-//! heated by *another* request fast-forwards through memoized
-//! segments. Those cross-request hits are observable — the
+//! heated by *another* request resumes from that request's stored
+//! trajectory prefix. Those cross-request hits are observable — the
 //! `serve.cache_cross_hits` counter on `GET /v1/status` and the
 //! per-response `X-Vgrid-Cross-Hit` header — but deliberately **never**
 //! appear in the manifest body, for the same reason the engine's
@@ -69,7 +69,7 @@ static CROSS_HITS: AtomicU64 = AtomicU64::new(0);
 
 /// Warm identities seen so far. Rank 70: this lock is scoped to a
 /// membership check and never held across a campaign run, which takes
-/// the rank 30-65 cache locks and the rank-80 characterization memo.
+/// the rank-60 trajectory lock and the rank-80 characterization memo.
 static WARM_KEYS: Mutex<Option<DetSet<u64>>> = Mutex::new(None);
 
 /// Snapshot of the serve counters.

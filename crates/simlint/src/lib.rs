@@ -762,8 +762,8 @@ pub fn lint(files: &[SourceFile]) -> Vec<Diagnostic> {
     }
 
     // ---- send-clean ----------------------------------------------
-    // (a) Interior-mutability cells in sim-crate statics (e.g. the
-    // thread-local arena) need an explicit justification.
+    // (a) Interior-mutability cells in sim-crate statics (e.g. a
+    // `thread_local!` buffer pool) need an explicit justification.
     for p in &preps {
         let path = &p.file.path;
         if !in_sim_src(path) {

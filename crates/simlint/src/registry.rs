@@ -8,11 +8,11 @@
 //!
 //! ```toml
 //! [[global]]
-//! name  = "SEGMENT_MEMO"
+//! name  = "TRAJECTORIES"
 //! path  = "crates/grid/src/fastforward.rs"
 //! owner = "grid::fastforward"
 //! kind  = "mutex"          # mutex | rwlock | once | atomic | cell | thread-local
-//! rank  = 40               # required for mutex/rwlock: lock-order rank
+//! rank  = 60               # required for mutex/rwlock: lock-order rank
 //! reset = "grid::fastforward::reset_all"
 //! ```
 //!

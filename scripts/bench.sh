@@ -16,7 +16,7 @@
 # substrate scenarios, (b) deterministic event counts staying within
 # +20% of the committed BENCH_engine.json, (c) grid_scale/fastforward
 # simulation outputs matching the committed rows exactly, and (d) the
-# analytic fast-forward caches making the grid-churn sweep >= 5x faster
+# fast-forward trajectory cache making the grid-churn sweep >= 5x faster
 # while leaving its report digest untouched. Timings vs. the baseline
 # are reported but never gated — wall clock is machine-dependent.
 set -euo pipefail

@@ -1,14 +1,14 @@
-//! 16-thread stress over the grid fast-forward caches: the runtime
-//! witness for what `simlint`'s static shared-state pass proves
-//! (DESIGN.md §14). Sixteen threads hammer the process-wide
-//! segment-solution, probe-dilation, and trajectory caches with the
-//! same campaign list a single-threaded run executes, and every
-//! thread's rendered run manifest must stay byte-identical to the
-//! sequential reference.
+//! 16-thread stress over the grid's shared state: the runtime witness
+//! for what `simlint`'s static shared-state pass proves (DESIGN.md
+//! §14). Sixteen threads hammer the process-wide trajectory cache (and
+//! the kernel characterization memo under every segment solve and
+//! hydration probe) with the same campaign list a single-threaded run
+//! executes, and every thread's rendered run manifest must stay
+//! byte-identical to the sequential reference.
 //!
 //! Hit/miss *counters* are deliberately excluded from the manifests
 //! built here: under concurrent cold misses two threads may race to
-//! solve the same key, so the counts are not deterministic. The
+//! store the same trajectory, so the counts are not deterministic. The
 //! *results* are — that is the contract this test pins.
 //!
 //! Everything lives in one `#[test]` because the cache reset hook is
@@ -22,10 +22,10 @@ use vgrid::vmm::VmmProfile;
 
 const THREADS: usize = 16;
 
-/// The campaign list every participant runs, covering all three cache
-/// layers: native and two VM modes hit the segment/dilation caches,
-/// and the same VM configuration at two horizons exercises the
-/// trajectory cache's prefix-resume path.
+/// The campaign list every participant runs: native and two VM modes
+/// each solve their own segment and measure their own probes, and the
+/// same VM configuration at two horizons exercises the trajectory
+/// cache's prefix-resume path.
 fn spec_list() -> Vec<CampaignSpec> {
     let project = ProjectConfig {
         workunits: 8,

@@ -3,17 +3,17 @@
 //! Every grid experiment in the registry must produce byte-identical
 //! figure JSON *and* a byte-identical run manifest whether it runs on
 //! the archetype-batched substrate (default), under
-//! `--hydrated-reference`, or with the fast-forward caches switched off
+//! `--hydrated-reference`, or with fast-forward switched off
 //! (`--no-fastforward`). Each invocation is a fresh process, so the
 //! engine cache starts cold and cannot mask a divergence between the
 //! modes.
 //!
-//! One carve-out: the `grid.fastforward.*` metric rows report cache
-//! reuse — the execution strategy itself, which is exactly what this
-//! test varies. Neither the reference substrate nor the kill switch
-//! consults the fast-forward caches (DESIGN.md §13), so those rows
-//! must be present in the batched manifest, absent from the other two,
-//! and are stripped before the byte comparison. Everything
+//! One carve-out: the `grid.fastforward.trajectory_*` metric rows
+//! report trajectory reuse — the execution strategy itself, which is
+//! exactly what this test varies. Neither the reference substrate nor
+//! the kill switch consults the trajectory cache (DESIGN.md §13), so
+//! those rows must be present in the batched manifest, absent from the
+//! other two, and are stripped before the byte comparison. Everything
 //! simulation-derived still compares exactly.
 
 use std::path::PathBuf;
@@ -100,7 +100,7 @@ fn grid_registry_is_bit_identical_across_substrates() {
             assert_eq!(
                 stripped.len(),
                 man.len(),
-                "{mode} manifest must not touch the fast-forward caches for {id}"
+                "{mode} manifest must not touch the trajectory cache for {id}"
             );
         }
     }

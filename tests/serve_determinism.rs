@@ -3,11 +3,12 @@
 //! cold sequential `wire::run_request_json` call produces for the same
 //! body — same `(spec, seed, options)`, same bytes, regardless of which
 //! worker ran it, which tenant queue it sat in, or what else the shared
-//! fast-forward caches absorbed in the meantime. Both host substrates
+//! trajectory cache absorbed in the meantime. Both host substrates
 //! (batched and hydrated-reference) are interleaved in the same hammer.
 //!
-//! One `#[test]`: the server, its counters, and the grid caches are
-//! process-wide, so parallel test functions would race on them.
+//! One `#[test]`: the server, its counters, and the grid trajectory
+//! cache are process-wide, so parallel test functions would race on
+//! them.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

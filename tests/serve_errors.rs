@@ -87,6 +87,14 @@ fn bad_requests_get_typed_errors_and_the_server_stays_up() {
                 "invalid",
                 "horizon_secs",
             ),
+            // A speed that parses to +inf must be rejected: its
+            // canonical form would render as `null`, which no longer
+            // parses back.
+            (
+                r#"{"spec_version": 1, "pool": {"speed_max": 1e400}}"#,
+                "invalid",
+                "speed_range",
+            ),
         ];
         for (body, kind, fragment) in table {
             let (status, payload) = post(addr, "/v1/campaign", body);
