@@ -7,8 +7,13 @@
 //! report — so `bench.sh --check` can gate on exact values. The full
 //! profile adds the headline scenarios from ROADMAP item 1: a
 //! million-host zero-churn month and a 100k-host churn campaign, both
-//! expected to finish in minutes on the sharded calendar queue while
+//! expected to finish in minutes on the radix-heap event queue while
 //! hydrating at most `DEFAULT_HYDRATION_CAP` concurrent `System`s.
+//!
+//! The quick row's warm-up pass stores the campaign's trajectory, so
+//! every timed sample resumes it at the same horizon: the row times a
+//! warm hit (one queue rebuild plus final accounting, and no re-store;
+//! DESIGN.md §13), not a cold campaign.
 
 use criterion::{criterion_group, criterion_main, report_metric, Criterion};
 use vgrid_grid::{CampaignSpec, ChurnConfig, DeployConfig, GridReport, PoolConfig, ProjectConfig};

@@ -100,9 +100,13 @@ pub(crate) fn trajectory_key(
     format!("{project:?}|{pool:?}|{deploy:?}|{churn:?}|seed={seed:#x}")
 }
 
-/// Largest stored prefix snapshot at or below `horizon`, cloned out of
-/// the cache. Counted as one trajectory hit or miss per campaign.
-pub(crate) fn trajectory_lookup(key: &str, horizon: SimTime) -> Option<CampaignCheckpoint> {
+/// Largest stored prefix snapshot at or below `horizon` with its stored
+/// horizon, cloned out of the cache. Counted as one trajectory hit or
+/// miss per campaign.
+pub(crate) fn trajectory_lookup(
+    key: &str,
+    horizon: SimTime,
+) -> Option<(SimTime, CampaignCheckpoint)> {
     let guard = TRAJECTORIES
         .lock()
         .expect("grid::fastforward::TRAJECTORIES poisoned");
@@ -112,7 +116,7 @@ pub(crate) fn trajectory_lookup(key: &str, horizon: SimTime) -> Option<CampaignC
                 .iter()
                 .rev()
                 .find(|(h, _)| *h <= horizon)
-                .map(|(_, ckpt)| ckpt.clone())
+                .map(|(h, ckpt)| (*h, ckpt.clone()))
         })
     });
     drop(guard);

@@ -33,9 +33,7 @@ use crate::migration;
 use crate::model::{DeployConfig, ExecutionMode, GridReport, PoolConfig, ProjectConfig};
 use crate::options::RunOptions;
 use vgrid_machine::MachineSpec;
-use vgrid_simcore::{
-    CalendarQueue, DetMap, DetSet, EventQueue, EventScheduler, SimDuration, SimRng, SimTime,
-};
+use vgrid_simcore::{DetMap, EventQueue, EventScheduler, RadixQueue, SimDuration, SimRng, SimTime};
 use vgrid_workloads::einstein::EinsteinKernel;
 use vgrid_workloads::kernel::characterize;
 
@@ -220,7 +218,7 @@ struct FaultCtx<'a> {
 /// the `hydration_equivalence` and `hydration_reference` test suites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubstrateMode {
-    /// Archetype-batched analytic substrate on the sharded calendar
+    /// Archetype-batched analytic substrate on the radix-heap event
     /// queue, with the lazy work queue and the trajectory cache while
     /// fast-forward is on (the default).
     Batched,
@@ -240,7 +238,9 @@ pub enum SubstrateMode {
 /// loop-exit snapshot of the same configuration at a horizon at or
 /// below the requested one resumes mid-stream instead of replaying
 /// from t=0 (see [`crate::fastforward`]). Resumed and cold runs are
-/// bit-identical by contract.
+/// bit-identical by contract. A hit whose stored horizon equals the
+/// requested one resumes without re-storing: the cache already holds
+/// that snapshot and would drop the duplicate.
 pub(crate) fn run_campaign_substrate(
     project: &ProjectConfig,
     pool: &PoolConfig,
@@ -255,8 +255,9 @@ pub(crate) fn run_campaign_substrate(
         SubstrateMode::Batched => {
             let key = ff.then(|| fastforward::trajectory_key(project, pool, deploy, churn, seed));
             if let Some(key) = key.as_deref() {
-                if let Some(ckpt) = fastforward::trajectory_lookup(key, horizon) {
-                    return resume_campaign(project, pool, deploy, churn, horizon, key, ckpt);
+                if let Some((stored, ckpt)) = fastforward::trajectory_lookup(key, horizon) {
+                    let store_key = (stored != horizon).then_some(key);
+                    return resume_campaign(project, pool, deploy, churn, horizon, store_key, ckpt);
                 }
             }
             run_campaign_on(
@@ -267,7 +268,7 @@ pub(crate) fn run_campaign_substrate(
                 seed,
                 horizon,
                 ff,
-                CalendarQueue::new(),
+                RadixQueue::new(),
                 key.as_deref(),
             )
         }
@@ -303,7 +304,7 @@ pub(crate) struct SimState {
     copies: Vec<TaskCopy>,
     queue: WorkQueue,
     makespan: Option<SimTime>,
-    idle: DetSet<u32>,
+    idle: IdleSet,
     /// Checkpoint exports currently crossing the server NIC; each new
     /// export contends with these (migration policy only — always zero
     /// otherwise).
@@ -328,16 +329,18 @@ impl CampaignCheckpoint {
     }
 }
 
-/// Resume a campaign from a stored prefix snapshot: rebuild a calendar
+/// Resume a campaign from a stored prefix snapshot: rebuild a radix
 /// queue from the drained pending events (re-scheduling in pop order
 /// preserves same-instant FIFO ties) and continue the identical loop.
+/// With `store_key` set, the loop exit is stored for that key as after
+/// a cold run.
 fn resume_campaign(
     project: &ProjectConfig,
     pool: &PoolConfig,
     deploy: &DeployConfig,
     churn: &ChurnConfig,
     horizon: SimTime,
-    key: &str,
+    store_key: Option<&str>,
     ckpt: CampaignCheckpoint,
 ) -> GridReport {
     let fctx = FaultCtx {
@@ -349,12 +352,12 @@ fn resume_campaign(
         state: mut st,
         pending,
     } = ckpt;
-    let mut q = CalendarQueue::new();
+    let mut q = RadixQueue::new();
     for (time, ev) in pending {
         q.schedule(time, ev);
     }
     let carried = run_loop(&mut st, &mut q, project, pool, deploy, &fctx, horizon);
-    store_and_finalize(st, q, carried, project, deploy, horizon, Some(key))
+    store_and_finalize(st, q, carried, project, deploy, horizon, store_key)
 }
 
 /// The campaign loop, generic over the event-queue implementation so
@@ -517,7 +520,7 @@ fn init_state<Q: EventScheduler<Ev>>(
         // Hosts currently idle (up, eligible, unpaused, no activity) —
         // kept in lockstep with host state so server pushes touch only
         // the hosts that can take work instead of scanning the pool.
-        idle: DetSet::new(),
+        idle: IdleSet::new(pool.volunteers as usize),
         inflight_xfers: 0,
     }
 }
@@ -950,7 +953,7 @@ fn run_loop<Q: EventScheduler<Ev>>(
                         continue;
                     }
                     let holder_speed = hosts[holder].speed;
-                    if !idle.iter().any(|&i| hosts[i as usize].speed > holder_speed) {
+                    if !idle.iter().any(|i| hosts[i].speed > holder_speed) {
                         continue;
                     }
                 }
@@ -1028,8 +1031,8 @@ fn run_loop<Q: EventScheduler<Ev>>(
                 // the export would burn NIC time to move the task
                 // between equally doomed hosts — at extreme churn nobody
                 // qualifies and the policy holds still.
-                let safe_home = idle.iter().any(|&i| {
-                    let cand = &hosts[i as usize];
+                let safe_home = idle.iter().any(|i| {
+                    let cand = &hosts[i];
                     if cand.speed < hosts[h].speed {
                         return false;
                     }
@@ -1203,16 +1206,53 @@ fn compute_rate(host: &HostSlot, vm_factor: f64, ckpt_frac: f64) -> f64 {
     host.speed / vm_factor * (1.0 - ckpt_frac).max(0.05)
 }
 
+/// The idle hosts as one bit per host id. Membership changes on nearly
+/// every event, so insert and remove are single word operations; the
+/// iteration order is ascending host id, which is the hand-out order
+/// of [`kick_idle_hosts`] and the scan order of the migration audits.
+#[derive(Debug, Clone)]
+struct IdleSet {
+    words: Vec<u64>,
+}
+
+impl IdleSet {
+    /// An empty set over host ids `0..hosts`.
+    fn new(hosts: usize) -> Self {
+        IdleSet {
+            words: vec![0; hosts.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, h: usize) {
+        self.words[h / 64] |= 1 << (h % 64);
+    }
+
+    fn remove(&mut self, h: usize) {
+        self.words[h / 64] &= !(1 << (h % 64));
+    }
+
+    /// Member host ids in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            std::iter::successors((word != 0).then_some(word), |&rest| {
+                let rest = rest & (rest - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+        })
+    }
+}
+
 /// Re-derive one host's membership in the idle set after an event arm
 /// mutated it. The set invariant — `h ∈ idle` iff the host is up,
 /// eligible, unpaused and between activities — is what lets the server
 /// push touch only takers instead of scanning a million-host pool.
-fn sync_idle(idle: &mut DetSet<u32>, hosts: &[HostSlot], h: usize) {
+fn sync_idle(idle: &mut IdleSet, hosts: &[HostSlot], h: usize) {
     let host = &hosts[h];
     if host.up && !host.excluded && !host.paused && host.activity.is_none() {
-        idle.insert(h as u32);
+        idle.insert(h);
     } else {
-        idle.remove(&(h as u32));
+        idle.remove(h);
     }
 }
 
@@ -1390,13 +1430,13 @@ fn export_checkpoint<Q: EventScheduler<Ev>>(
 /// their own transitions. Under churn the server push is disabled:
 /// idle clients poll with exponential backoff instead.
 ///
-/// Iterates the idle set (sorted by host id — the same hand-out order
-/// as the original whole-pool scan) rather than all hosts: the walk is
-/// O(work handed out), not O(pool).
+/// Iterates the idle set (ascending host id — the same hand-out order
+/// as the original whole-pool scan) rather than all hosts: the walk
+/// touches one bit per idle host and one word per 64 hosts.
 #[allow(clippy::too_many_arguments)]
 fn kick_idle_hosts<Q: EventScheduler<Ev>>(
     now: SimTime,
-    idle: &mut DetSet<u32>,
+    idle: &mut IdleSet,
     hosts: &mut [HostSlot],
     queue: &mut WorkQueue,
     copies: &mut Vec<TaskCopy>,
@@ -1413,12 +1453,11 @@ fn kick_idle_hosts<Q: EventScheduler<Ev>>(
     if fctx.on {
         return;
     }
-    let mut kicked: Vec<u32> = Vec::new();
-    for &hid in idle.iter() {
+    let mut kicked: Vec<usize> = Vec::new();
+    for h in idle.iter() {
         if queue.is_empty() {
             break;
         }
-        let h = hid as usize;
         debug_assert!(
             hosts[h].up && !hosts[h].excluded && !hosts[h].paused && hosts[h].activity.is_none(),
             "idle-set invariant broken for host {h}",
@@ -1427,10 +1466,10 @@ fn kick_idle_hosts<Q: EventScheduler<Ev>>(
             h, now, hosts, queue, copies, validator, project, pool, deploy, q, vm_factor,
             ckpt_frac, fctx, report,
         );
-        kicked.push(hid);
+        kicked.push(h);
     }
-    for hid in kicked {
-        sync_idle(idle, hosts, hid as usize);
+    for h in kicked {
+        sync_idle(idle, hosts, h);
     }
 }
 
@@ -1563,7 +1602,47 @@ fn arm_evac_check<Q: EventScheduler<Ev>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vgrid_simcore::DetSet;
     use vgrid_vmm::VmmProfile;
+
+    #[test]
+    fn idle_set_matches_ordered_set_reference() {
+        // Both substrates share the idle set, so the equivalence suites
+        // cannot see an ordering bug here: compare it with an ordered
+        // set directly. 1,000 hosts is not a multiple of 64, so the last
+        // word is partial.
+        let n = 1000;
+        let mut rng = SimRng::new(0x1d1e);
+        let mut bits = IdleSet::new(n);
+        let mut reference: DetSet<usize> = DetSet::new();
+        let boundary = [0, 63, 64, 127, 128, n - 64, n - 1];
+        for step in 0..20_000u64 {
+            let h = if step % 3 == 0 {
+                boundary[rng.next_below(boundary.len() as u64) as usize]
+            } else {
+                rng.next_below(n as u64) as usize
+            };
+            if rng.chance(0.5) {
+                bits.insert(h);
+                reference.insert(h);
+            } else {
+                bits.remove(h);
+                reference.remove(&h);
+            }
+            if step % 97 == 0 {
+                assert!(bits.iter().eq(reference.iter().copied()), "step {step}");
+            }
+        }
+        for &h in &boundary {
+            bits.insert(h);
+            reference.insert(h);
+        }
+        assert!(bits.iter().eq(reference.iter().copied()));
+        for h in 0..n {
+            bits.remove(h);
+        }
+        assert_eq!(bits.iter().next(), None);
+    }
 
     /// Churn-enabled entry point on the default (batched) substrate.
     fn run_impl(
@@ -1687,7 +1766,7 @@ mod tests {
 
     #[test]
     fn substrates_are_bit_identical() {
-        // The calendar-queue batched substrate and the flat-queue
+        // The radix-queue batched substrate and the flat-queue
         // reference substrate must agree on every report field,
         // hydration stats included, under zero churn and full churn.
         for churn in [ChurnConfig::off(), ChurnConfig::intensity(1.0)] {

@@ -1,150 +1,163 @@
-//! Hierarchical calendar event queue.
+//! A monotone radix-heap future-event calendar.
 //!
-//! A calendar-queue (timing-wheel) alternative to [`EventQueue`]:
-//! pending events live in a power-of-two array of time buckets, so the
-//! typical enqueue is one index computation plus a `Vec::push`, and the
-//! typical dequeue scans the one or two short buckets near "now" —
-//! amortized O(1) against the heap's O(log n). Nothing about the order
-//! changes: pops reproduce the flat queue's `(time, rank, seq)` order
+//! [`RadixQueue`] is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan,
+//! 1990) over picosecond times. It relies on the property every queue
+//! here already has: nothing is ever scheduled before the last popped
+//! time (the past clamp enforces it in release builds). In exchange an
+//! event moves between buckets at most 64 times over its life, however
+//! widely the pending times spread, and only events due at the same
+//! instant are ever compared by a heap. Pops reproduce
+//! [`EventQueue`](crate::EventQueue)'s `(time, rank, seq)` order
 //! *exactly*, including same-instant rank ordering and FIFO stability,
 //! which is what lets the grid layer swap scheduling substrates without
 //! moving a single bit (DESIGN.md §12).
 //!
 //! ## Ordering argument
 //!
-//! Bucket `b` in the current rotation ("year") covers the half-open
-//! window `[top - width, top)` where `top` advances by `width` per
-//! bucket scanned. The dequeue scan accepts the best `(time, rank,
-//! seq)` event with `time < top` — an upper bound only. That suffices
-//! because the queue maintains two invariants: every live event's time
-//! is `>= last_popped` (schedule clamps, pop takes the global minimum),
-//! and the current bucket's window start is `<= last_popped`. An event
-//! stored in a scanned bucket but belonging to an *earlier* year would
-//! have to be at least one full rotation (`nbuckets * width`) below its
-//! window, putting it before `last_popped` — impossible. Events at or
-//! past `top` belong to a later bucket or year and are picked up by a
-//! later scan step or the fallback. A full fruitless rotation falls
-//! back to an exact global-minimum scan (and, after repeated misses,
-//! recalibrates the bucket width to the live event distribution), so
-//! correctness never depends on the width heuristic.
+//! There are 65 buckets. Bucket 0 holds the events due exactly at
+//! `last`, the last popped time. An event due at `t > last` sits in
+//! bucket `k + 1`, where `k` is the highest bit in which `t` and `last`
+//! differ. Such an event agrees with `last` above bit `k` and has bit
+//! `k` set where `last` has it clear, so it is later than every event
+//! in a lower bucket. A pop therefore takes bucket 0's head or, when
+//! bucket 0 is empty, the earliest live event of the lowest non-empty
+//! bucket. That time becomes the new `last`, and the bucket's events
+//! move to buckets strictly below it (they agree with the new `last`
+//! on every bit the old bucket index covered). An event only ever moves
+//! down, so it moves at most 64 times over its life.
 //!
-//! Cancellation is lazy: tombstones are skipped during scans and purged
-//! when their bucket is touched by a pop or a recalibration.
+//! Bucket 0 is a binary heap on `(rank, seq)`: a burst of events at one
+//! instant pops in rank-then-FIFO order at O(log n) a pop. Cancellation
+//! is lazy: tombstones are dropped when a pop or a bucket move reaches
+//! them, and [`EventScheduler::len`] and [`EventScheduler::peek_time`]
+//! never count them.
 
 use crate::detmap::DetSet;
 use crate::event::{EventQueueStats, EventScheduler, ScheduledEvent};
 use crate::time::SimTime;
+use std::collections::BinaryHeap;
 
-/// Smallest bucket-array size; also the floor the queue shrinks back to.
-const MIN_BUCKETS: usize = 16;
-/// Bucket-array growth cap (~2M buckets). Beyond this, bucket chains
-/// grow instead — correctness never depends on the cap.
-const MAX_BUCKETS: usize = 1 << 21;
-/// Fruitless full rotations tolerated before the bucket width is
-/// recalibrated to the live event distribution.
-const MISS_LIMIT: u32 = 4;
-/// Initial bucket width (1 ms). The first resize recalibrates to the
-/// actual inter-event spacing.
-const INITIAL_WIDTH_PS: u64 = 1_000_000_000;
-
-/// Total order among live events: earliest time, then rank, then FIFO.
-/// (`ScheduledEvent`'s own `Ord` is reversed for the max-heap.)
-fn is_before<E>(a: &ScheduledEvent<E>, b: &ScheduledEvent<E>) -> bool {
-    (a.time, a.rank, a.seq) < (b.time, b.rank, b.seq)
-}
-
-/// A deterministic future-event list with O(1) typical operations.
+/// A deterministic future-event list for monotone schedules: at most 64
+/// bucket moves per event over its life.
 ///
-/// Drop-in replacement for [`EventQueue`] behind [`EventScheduler`]:
-/// identical pop order, identical past-scheduling clamp semantics
-/// (debug panic, release clamp-and-count), identical stats.
+/// Drop-in replacement for [`EventQueue`](crate::EventQueue) behind
+/// [`EventScheduler`]: identical pop order, identical past-scheduling
+/// clamp semantics (debug panic, release clamp-and-count), identical
+/// stats.
 #[derive(Debug)]
-pub struct CalendarQueue<E> {
-    buckets: Vec<Vec<ScheduledEvent<E>>>,
-    /// `buckets.len() - 1`; the bucket count is a power of two.
-    mask: usize,
-    /// Bucket width in picoseconds (>= 1).
-    width: u64,
-    /// Bucket the year position currently points at.
-    cur: usize,
-    /// Exclusive upper time bound of `cur`'s window in the current
-    /// year. `u128` so `width * buckets` arithmetic cannot overflow.
-    bucket_top: u128,
-    last_popped: SimTime,
+pub struct RadixQueue<E> {
+    /// Bucket 0: events due exactly at `last`, ordered by `(rank, seq)`.
+    due: BinaryHeap<ScheduledEvent<E>>,
+    /// Buckets 1-64: `buckets[k]` holds the events whose highest bit
+    /// differing from `last` is bit `k`.
+    buckets: [Vec<ScheduledEvent<E>>; 64],
+    /// Bit `k` set iff `buckets[k]` is non-empty.
+    occupied: u64,
+    last: SimTime,
     next_seq: u64,
     /// Pending non-cancelled events.
     live: usize,
     cancelled: DetSet<u64>,
     clamped: u64,
-    /// Fruitless full rotations since the last recalibration.
-    misses: u32,
 }
 
-impl<E> Default for CalendarQueue<E> {
+impl<E> Default for RadixQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> CalendarQueue<E> {
+impl<E> RadixQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
-        CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            mask: MIN_BUCKETS - 1,
-            width: INITIAL_WIDTH_PS,
-            cur: 0,
-            bucket_top: INITIAL_WIDTH_PS as u128,
-            last_popped: SimTime::ZERO,
+        RadixQueue {
+            due: BinaryHeap::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            last: SimTime::ZERO,
             next_seq: 0,
             live: 0,
             cancelled: DetSet::new(),
             clamped: 0,
-            misses: 0,
         }
     }
 
-    fn index(&self, time: SimTime) -> usize {
-        ((time.as_picos() / self.width) as usize) & self.mask
+    /// Drop all pending events, keeping the current time.
+    pub fn clear(&mut self) {
+        self.due.clear();
+        for bucket in &mut self.buckets {
+            bucket.clear();
+        }
+        self.occupied = 0;
+        self.cancelled.clear();
+        self.live = 0;
     }
 
-    /// Schedule `event` to fire at absolute time `time` with rank 0.
-    /// Returns the assigned sequence number (usable with `cancel`).
-    pub fn schedule(&mut self, time: SimTime, event: E) -> u64 {
-        self.schedule_ranked(time, 0, event)
+    /// Put `ev` in its bucket relative to `last`.
+    fn insert(&mut self, ev: ScheduledEvent<E>) {
+        let diff = ev.time.as_picos() ^ self.last.as_picos();
+        if diff == 0 {
+            self.due.push(ev);
+        } else {
+            let k = 63 - diff.leading_zeros() as usize;
+            self.buckets[k].push(ev);
+            self.occupied |= 1 << k;
+        }
     }
 
-    /// Schedule `event` at `time` with an explicit same-instant rank.
-    pub fn schedule_ranked(&mut self, time: SimTime, rank: u8, event: E) -> u64 {
+    /// Move `last` to the earliest live event of the lowest non-empty
+    /// bucket and redistribute that bucket below it. Returns `false`
+    /// when no live event is pending. Only called with bucket 0 empty.
+    fn advance(&mut self) -> bool {
+        while self.occupied != 0 {
+            let k = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1 << k);
+            let mut bucket = std::mem::take(&mut self.buckets[k]);
+            if !self.cancelled.is_empty() {
+                bucket.retain(|ev| !self.cancelled.remove(&ev.seq));
+            }
+            let Some(last) = bucket.iter().map(|ev| ev.time).min() else {
+                continue;
+            };
+            self.last = last;
+            for ev in bucket.drain(..) {
+                self.insert(ev);
+            }
+            // Every event landed strictly below `k`, so bucket `k` is
+            // still empty: hand its allocation back for the next use.
+            debug_assert!(self.buckets[k].is_empty(), "radix bucket {k} refilled");
+            self.buckets[k] = bucket;
+            return true;
+        }
+        false
+    }
+}
+
+impl<E> EventScheduler<E> for RadixQueue<E> {
+    fn schedule_ranked(&mut self, time: SimTime, rank: u8, event: E) -> u64 {
         debug_assert!(
-            time >= self.last_popped,
+            time >= self.last,
             "event scheduled in the past: {} < {}",
             time,
-            self.last_popped
+            self.last
         );
-        if time < self.last_popped {
+        if time < self.last {
             self.clamped += 1;
         }
-        let time = time.max(self.last_popped);
+        let time = time.max(self.last);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let idx = self.index(time);
-        self.buckets[idx].push(ScheduledEvent {
+        self.live += 1;
+        self.insert(ScheduledEvent {
             time,
             rank,
             seq,
             event,
         });
-        self.live += 1;
-        if self.live > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
-            self.recalibrate();
-        }
         seq
     }
 
-    /// Cancel a pending event by seq (see [`EventScheduler::cancel`] for
-    /// the contract). The entry is tombstoned and purged lazily.
-    pub fn cancel(&mut self, seq: u64) -> bool {
+    fn cancel(&mut self, seq: u64) -> bool {
         if seq >= self.next_seq || !self.cancelled.insert(seq) {
             return false;
         }
@@ -152,231 +165,53 @@ impl<E> CalendarQueue<E> {
         true
     }
 
-    /// Best live in-window event of bucket `b`: index of the minimum
-    /// `(time, rank, seq)` entry with `time < below` (no bound when
-    /// `None`), skipping tombstones.
-    fn best_in_bucket(&self, b: usize, below: Option<u128>) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (j, ev) in self.buckets[b].iter().enumerate() {
-            if self.cancelled.contains(&ev.seq) {
-                continue;
-            }
-            if let Some(top) = below {
-                if ev.time.as_picos() as u128 >= top {
-                    continue;
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        loop {
+            while let Some(ev) = self.due.pop() {
+                if self.cancelled.is_empty() || !self.cancelled.remove(&ev.seq) {
+                    self.live = self.live.saturating_sub(1);
+                    return Some((ev.time, ev.event));
                 }
             }
-            let better = match best {
-                None => true,
-                Some(k) => is_before(ev, &self.buckets[b][k]),
-            };
-            if better {
-                best = Some(j);
+            if !self.advance() {
+                // Anything still tombstoned names an event that is gone.
+                self.cancelled.clear();
+                return None;
             }
         }
-        best
     }
 
-    /// One rotation from the current year position: the next live event
-    /// as `(bucket, slot, window top)`, or `None` when the whole year
-    /// ahead is empty.
-    fn locate(&self) -> Option<(usize, usize, u128)> {
-        let mut top = self.bucket_top;
-        for i in 0..self.buckets.len() {
-            let b = (self.cur + i) & self.mask;
-            if let Some(j) = self.best_in_bucket(b, Some(top)) {
-                return Some((b, j, top));
+    /// Read-only, so it scans the lowest bucket holding a live event —
+    /// hot loops should pop instead.
+    fn peek_time(&self) -> Option<SimTime> {
+        let live = |ev: &&ScheduledEvent<E>| !self.cancelled.contains(&ev.seq);
+        if self.due.iter().any(|ev| live(&ev)) {
+            return Some(self.last);
+        }
+        let mut bits = self.occupied;
+        while bits != 0 {
+            let k = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if let Some(t) = self.buckets[k].iter().filter(live).map(|ev| ev.time).min() {
+                return Some(t);
             }
-            top += self.width as u128;
         }
         None
     }
 
-    /// Exact global-minimum fallback for sparse far-future years; also
-    /// computes the window top to jump the year position to.
-    fn locate_anywhere(&self) -> (usize, usize, u128) {
-        let mut best: Option<(usize, usize)> = None;
-        for b in 0..self.buckets.len() {
-            if let Some(j) = self.best_in_bucket(b, None) {
-                let better = match best {
-                    None => true,
-                    Some((bb, jj)) => is_before(&self.buckets[b][j], &self.buckets[bb][jj]),
-                };
-                if better {
-                    best = Some((b, j));
-                }
-            }
-        }
-        let (b, j) = best.expect("locate_anywhere called with live events pending");
-        let t = self.buckets[b][j].time.as_picos() as u128;
-        let top = (t / self.width as u128 + 1) * self.width as u128;
-        (b, j, top)
-    }
-
-    /// Drop tombstoned entries from bucket `b`.
-    fn purge_cancelled(&mut self, b: usize) {
-        if self.cancelled.is_empty() {
-            return;
-        }
-        let cancelled = &mut self.cancelled;
-        self.buckets[b].retain(|ev| !cancelled.remove(&ev.seq));
-    }
-
-    /// Rebuild the bucket array sized and spaced for the live events.
-    /// Purges every tombstone as a side effect.
-    fn recalibrate(&mut self) {
-        self.misses = 0;
-        let mut all: Vec<ScheduledEvent<E>> = Vec::with_capacity(self.live);
-        let cancelled = &mut self.cancelled;
-        for bucket in &mut self.buckets {
-            for ev in bucket.drain(..) {
-                if !cancelled.remove(&ev.seq) {
-                    all.push(ev);
-                }
-            }
-        }
-        debug_assert_eq!(all.len(), self.live, "live-event accounting drifted");
-        let nbuckets = all
-            .len()
-            .next_power_of_two()
-            .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if all.len() >= 2 {
-            let mut lo = u64::MAX;
-            let mut hi = 0u64;
-            for ev in &all {
-                let t = ev.time.as_picos();
-                lo = lo.min(t);
-                hi = hi.max(t);
-            }
-            // ~2 events per bucket for a uniform spread; degenerate
-            // spans (all events at one instant) clamp to 1 ps.
-            self.width = ((hi - lo) / all.len() as u64).saturating_mul(2).max(1);
-        }
-        if nbuckets != self.buckets.len() {
-            self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-            self.mask = nbuckets - 1;
-        }
-        let now_ps = self.last_popped.as_picos();
-        self.cur = self.index(self.last_popped);
-        self.bucket_top = (now_ps as u128 / self.width as u128 + 1) * self.width as u128;
-        for ev in all {
-            let idx = ((ev.time.as_picos() / self.width) as usize) & self.mask;
-            self.buckets[idx].push(ev);
-        }
-    }
-
-    /// Remove and return the earliest live event, advancing the queue's
-    /// notion of "now".
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.live == 0 {
-            // Nothing live: any remaining entries are tombstones.
-            if !self.cancelled.is_empty() {
-                for bucket in &mut self.buckets {
-                    bucket.clear();
-                }
-                self.cancelled.clear();
-            }
-            return None;
-        }
-        let (b, j, top) = match self.locate() {
-            Some(hit) => {
-                self.misses = 0;
-                hit
-            }
-            None => {
-                self.misses += 1;
-                if self.misses > MISS_LIMIT {
-                    self.recalibrate();
-                }
-                self.locate_anywhere()
-            }
-        };
-        self.cur = b;
-        self.bucket_top = top;
-        let ev = self.buckets[b].swap_remove(j);
-        self.live -= 1;
-        self.purge_cancelled(b);
-        debug_assert!(ev.time >= self.last_popped, "calendar queue went backwards");
-        self.last_popped = ev.time;
-        if self.live > 0 && self.live < self.buckets.len() / 8 && self.buckets.len() > MIN_BUCKETS {
-            self.recalibrate();
-        }
-        Some((ev.time, ev.event))
-    }
-
-    /// The due time of the earliest live event, if any. Read-only (and
-    /// hence O(buckets) worst case — hot loops should pop instead).
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.live == 0 {
-            return None;
-        }
-        let (b, j, _) = match self.locate() {
-            Some(hit) => hit,
-            None => self.locate_anywhere(),
-        };
-        Some(self.buckets[b][j].time)
-    }
-
-    /// Number of pending (non-cancelled) events.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.live
     }
 
-    /// True when no live events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
+    fn now(&self) -> SimTime {
+        self.last
     }
 
-    /// The time of the most recently popped event (the queue's "now").
-    pub fn now(&self) -> SimTime {
-        self.last_popped
-    }
-
-    /// Lifetime counters, mirroring [`EventQueue::stats`].
-    pub fn stats(&self) -> EventQueueStats {
+    fn stats(&self) -> EventQueueStats {
         EventQueueStats {
             scheduled: self.next_seq,
             clamped: self.clamped,
         }
-    }
-
-    /// Drop all pending events, keeping the current time.
-    pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.cancelled.clear();
-        self.live = 0;
-    }
-}
-
-impl<E> EventScheduler<E> for CalendarQueue<E> {
-    fn schedule_ranked(&mut self, time: SimTime, rank: u8, event: E) -> u64 {
-        CalendarQueue::schedule_ranked(self, time, rank, event)
-    }
-
-    fn cancel(&mut self, seq: u64) -> bool {
-        CalendarQueue::cancel(self, seq)
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        CalendarQueue::pop(self)
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        CalendarQueue::peek_time(self)
-    }
-
-    fn len(&self) -> usize {
-        CalendarQueue::len(self)
-    }
-
-    fn now(&self) -> SimTime {
-        CalendarQueue::now(self)
-    }
-
-    fn stats(&self) -> EventQueueStats {
-        CalendarQueue::stats(self)
     }
 }
 
@@ -389,7 +224,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         q.schedule(SimTime::from_millis(3), "c");
         q.schedule(SimTime::from_millis(1), "a");
         q.schedule(SimTime::from_millis(2), "b");
@@ -401,7 +236,7 @@ mod tests {
 
     #[test]
     fn same_time_is_fifo() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         let t = SimTime::from_secs(1);
         for i in 0..100 {
             q.schedule(t, i);
@@ -413,7 +248,7 @@ mod tests {
 
     #[test]
     fn interleaved_schedule_pop() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         q.schedule(SimTime::from_secs(1), 1);
         assert_eq!(q.pop().unwrap(), (SimTime::from_secs(1), 1));
         q.schedule(q.now() + SimDuration::from_secs(1), 2);
@@ -422,7 +257,7 @@ mod tests {
 
     #[test]
     fn peek_matches_pop() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         assert!(q.peek_time().is_none());
         q.schedule(SimTime::from_nanos(5), ());
         q.schedule(SimTime::from_nanos(2), ());
@@ -433,7 +268,7 @@ mod tests {
 
     #[test]
     fn ranks_order_same_instant_events() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         let t = SimTime::from_secs(1);
         q.schedule_ranked(t, 2, "slice-core1");
         q.schedule_ranked(t, 0, "wake");
@@ -447,7 +282,7 @@ mod tests {
 
     #[test]
     fn rank_does_not_override_time() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         q.schedule_ranked(SimTime::from_secs(2), 0, "later");
         q.schedule_ranked(SimTime::from_secs(1), 9, "sooner");
         assert_eq!(q.pop().unwrap().1, "sooner");
@@ -455,37 +290,68 @@ mod tests {
     }
 
     #[test]
-    fn far_future_year_jump() {
-        let mut q = CalendarQueue::new();
-        // Events many initial-widths apart force the fallback scan and
-        // the year jump repeatedly.
-        for d in [0u64, 3600, 7200, 30 * 24 * 3600] {
-            q.schedule(SimTime::from_secs(1 + d), d);
+    fn far_future_jumps() {
+        let mut q = RadixQueue::new();
+        // Gaps from one picosecond to the end of time land in the
+        // lowest and the highest buckets and everything between.
+        let times = [
+            SimTime::from_picos(1),
+            SimTime::from_secs(1),
+            SimTime::from_secs(3601),
+            SimTime::from_secs(7201),
+            SimTime::from_secs(30 * 24 * 3600 + 1),
+            SimTime::MAX,
+        ];
+        for (i, &t) in times.iter().enumerate().rev() {
+            q.schedule(t, i);
         }
-        assert_eq!(q.pop().unwrap().1, 0);
-        assert_eq!(q.pop().unwrap().1, 3600);
-        assert_eq!(q.pop().unwrap().1, 7200);
-        assert_eq!(q.pop().unwrap().1, 30 * 24 * 3600);
+        for (i, &t) in times.iter().enumerate() {
+            assert_eq!(q.pop().unwrap(), (t, i));
+        }
         assert!(q.pop().is_none());
     }
 
     #[test]
-    fn resize_preserves_order_and_stability() {
-        let mut q = CalendarQueue::new();
-        // Enough same-instant events to trigger growth mid-stream; FIFO
-        // must survive the rebucketing.
+    fn redistribution_preserves_order_and_stability() {
+        let mut q = RadixQueue::new();
+        // A same-instant burst in one upper bucket, interleaved with
+        // earlier events that pull it down level by level; FIFO must
+        // survive every move.
         let t = SimTime::from_secs(5);
         for i in 0..2000u32 {
             q.schedule(t, i);
+            q.schedule(SimTime::from_millis(u64::from(i) + 1), u32::MAX);
+        }
+        for _ in 0..2000u32 {
+            assert_eq!(q.pop().unwrap().1, u32::MAX);
         }
         for i in 0..2000u32 {
-            assert_eq!(q.pop().unwrap().1, i);
+            assert_eq!(q.pop().unwrap(), (t, i));
         }
     }
 
     #[test]
+    fn hundred_thousand_event_burst_is_fifo() {
+        // One burst due at "now" (straight into bucket 0) and one due
+        // later (moved into bucket 0 at once): neither may cost a scan
+        // per pop, and both must pop in schedule order.
+        let mut q = RadixQueue::new();
+        let later = SimTime::from_secs(1);
+        for i in 0..100_000u32 {
+            q.schedule(SimTime::ZERO, i);
+            q.schedule(later, i);
+        }
+        for t in [SimTime::ZERO, later] {
+            for i in 0..100_000u32 {
+                assert_eq!(q.pop().unwrap(), (t, i));
+            }
+        }
+        assert!(q.is_empty());
+    }
+
+    #[test]
     fn cancel_skips_events_and_keeps_peek_accurate() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         let a = q.schedule(SimTime::from_secs(1), "a");
         let b = q.schedule(SimTime::from_secs(2), "b");
         let c = q.schedule(SimTime::from_secs(3), "c");
@@ -504,7 +370,7 @@ mod tests {
 
     #[test]
     fn len_and_clear() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         q.schedule(SimTime::from_secs(1), ());
         q.schedule(SimTime::from_secs(2), ());
         assert_eq!(q.len(), 2);
@@ -518,7 +384,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduled in the past")]
     fn past_scheduling_panics_in_debug() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         q.schedule(SimTime::from_secs(10), ());
         q.pop();
         q.schedule(SimTime::from_secs(5), ());
@@ -527,7 +393,7 @@ mod tests {
     #[test]
     #[cfg(not(debug_assertions))]
     fn past_scheduling_is_counted_in_release() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         q.schedule(SimTime::from_secs(10), ());
         q.pop();
         q.schedule(SimTime::from_secs(5), ());
@@ -541,7 +407,7 @@ mod tests {
     #[test]
     fn mirrors_flat_queue_under_random_interleaving() {
         let mut rng = SimRng::new(0xca1e_4da2);
-        let mut cal = CalendarQueue::new();
+        let mut radix = RadixQueue::new();
         let mut flat = EventQueue::new();
         // Live seqs with their payloads, so cancellation only ever
         // targets genuinely pending events (the documented contract).
@@ -549,17 +415,19 @@ mod tests {
         for step in 0..5000u64 {
             match rng.next_below(10) {
                 0..=5 => {
-                    let dt = SimDuration::from_micros(rng.next_below(2_000_000));
-                    let t = cal.now() + dt;
+                    // Gaps of 0 to 2^62 ps: every bucket level.
+                    let bits = rng.next_below(63);
+                    let dt = SimDuration::from_picos(rng.next_below(1 << bits));
+                    let t = radix.now().saturating_add(dt);
                     let rank = rng.next_below(3) as u8;
-                    let a = cal.schedule_ranked(t, rank, step);
+                    let a = radix.schedule_ranked(t, rank, step);
                     let b = flat.schedule_ranked(t, rank, step);
                     assert_eq!(a, b);
                     pending.push((a, step));
                 }
                 6..=7 => {
-                    assert_eq!(cal.peek_time(), flat.peek_time());
-                    let a = cal.pop();
+                    assert_eq!(radix.peek_time(), flat.peek_time());
+                    let a = radix.pop();
                     let b = flat.pop();
                     assert_eq!(a, b);
                     if let Some((_, payload)) = a {
@@ -570,21 +438,22 @@ mod tests {
                     if !pending.is_empty() {
                         let i = rng.next_below(pending.len() as u64) as usize;
                         let (seq, _) = pending.swap_remove(i);
-                        assert_eq!(cal.cancel(seq), flat.cancel(seq));
+                        assert_eq!(radix.cancel(seq), flat.cancel(seq));
+                        assert_eq!(radix.peek_time(), flat.peek_time());
                     }
                 }
             }
-            assert_eq!(cal.len(), flat.len());
-            assert_eq!(cal.now(), flat.now());
+            assert_eq!(radix.len(), flat.len());
+            assert_eq!(radix.now(), flat.now());
         }
         loop {
-            let a = cal.pop();
+            let a = radix.pop();
             let b = flat.pop();
             assert_eq!(a, b);
             if a.is_none() {
                 break;
             }
         }
-        assert_eq!(cal.stats(), flat.stats());
+        assert_eq!(radix.stats(), flat.stats());
     }
 }

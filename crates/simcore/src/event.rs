@@ -67,11 +67,14 @@ pub struct EventQueueStats {
 }
 
 /// The scheduling surface shared by [`EventQueue`] and
-/// [`CalendarQueue`](crate::calendar::CalendarQueue): deterministic
-/// `(time, rank, seq)` pop order, lazy cancellation by sequence number,
-/// and identical past-scheduling clamp semantics. A simulation written
-/// against this trait can swap the flat heap for the calendar without
-/// observing any difference in pop order or stats.
+/// [`RadixQueue`](crate::calendar::RadixQueue): deterministic
+/// `(time, rank, seq)` pop order, lazy cancellation by sequence number
+/// (cancelled entries never count in `len` or `peek_time`), and
+/// identical past-scheduling clamp semantics. The clamp also keeps every
+/// pending time at or after [`now`](Self::now), the monotonicity the
+/// radix heap's bucketing relies on. A simulation written against this
+/// trait can swap the binary heap for the radix heap without observing
+/// any difference in pop order or stats.
 pub trait EventScheduler<E> {
     /// Schedule `event` at absolute `time` with rank 0; returns the
     /// assigned sequence number.

@@ -17,7 +17,9 @@
 //!   in the time base itself.
 //! * [`EventQueue`] breaks ties by insertion sequence number, so two events
 //!   scheduled for the same instant always pop in the order they were
-//!   pushed.
+//!   pushed. [`RadixQueue`], the monotone radix heap the grid campaign
+//!   loop runs on, pops in exactly the same `(time, rank, seq)` order;
+//!   both implement [`EventScheduler`].
 //! * [`rng::SimRng`] is a seedable xoshiro256++ generator with SplitMix64
 //!   seeding; streams can be forked deterministically per component.
 //!
@@ -45,7 +47,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use calendar::CalendarQueue;
+pub use calendar::RadixQueue;
 pub use detmap::{DetMap, DetSet};
 pub use event::{EventQueue, EventQueueStats, EventScheduler, ScheduledEvent};
 pub use fault::FaultKind;

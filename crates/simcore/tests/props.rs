@@ -1,36 +1,50 @@
 //! Property-based tests of the DES core's invariants.
 
 use proptest::prelude::*;
-use vgrid_simcore::{CalendarQueue, EventQueue, SimDuration, SimRng, SimTime};
+use vgrid_simcore::{EventQueue, EventScheduler, RadixQueue, SimDuration, SimRng, SimTime};
 
 /// One step of an interleaved schedule/pop/cancel workload, applied
 /// identically to both queue implementations.
 #[derive(Debug, Clone)]
 enum QueueOp {
-    /// Schedule at `now + dt` with a same-instant rank.
+    /// Schedule at `now + dt` picoseconds (saturating at
+    /// `SimTime::MAX`) with a same-instant rank.
     Schedule { dt: u64, rank: u8 },
+    /// Schedule `n` events at one instant `now + dt`, ranks drawn from
+    /// `ranks` two bits at a time.
+    Burst { dt: u64, n: u8, ranks: u64 },
     /// Pop the earliest live event (after comparing peeks).
     Pop,
     /// Cancel the pending event at this index into the live list (mod
-    /// its length); no-op when nothing is pending.
+    /// its length), then compare peeks; no-op when nothing is pending.
     Cancel(usize),
 }
 
+/// A gap in picoseconds: zero, or below `2^k` for a uniform `k` in
+/// `0..=62` so every bucket level of the radix heap is hit, or the
+/// whole range (saturating the sum at `SimTime::MAX`).
+fn gap(bits: u64, wide: u64) -> u64 {
+    match bits % 16 {
+        0..=1 => 0,
+        2 => u64::MAX,
+        _ => wide % (1 << ((bits >> 4) % 63)),
+    }
+}
+
 fn queue_op() -> impl Strategy<Value = QueueOp> {
-    // Decoded from one u64 so the in-tree shim's uniform generators
-    // suffice: half schedules (with same-instant bursts, sub-bucket
-    // jitter, and far jumps that cross calendar years), the rest pops
-    // and cancellations.
-    any::<u64>().prop_map(|bits| match bits % 10 {
-        0..=4 => {
-            let rank = ((bits >> 8) % 3) as u8;
-            let dt = match (bits >> 16) % 3 {
-                0 => 0,
-                1 => (bits >> 24) % 1_000,
-                _ => (bits >> 24) % 10_000_000_000,
-            };
-            QueueOp::Schedule { dt, rank }
-        }
+    // Decoded from two u64s so the in-tree shim's uniform generators
+    // suffice: four in ten single schedules, one in ten a same-instant
+    // burst, the rest pops and cancellations.
+    any::<[u64; 2]>().prop_map(|[bits, wide]| match bits % 10 {
+        0..=3 => QueueOp::Schedule {
+            dt: gap(bits >> 8, wide),
+            rank: ((bits >> 4) % 3) as u8,
+        },
+        4 => QueueOp::Burst {
+            dt: gap(bits >> 8, wide),
+            n: (1 + (bits >> 32) % 16) as u8,
+            ranks: wide.rotate_left(17),
+        },
         5..=7 => QueueOp::Pop,
         _ => QueueOp::Cancel((bits >> 8) as usize),
     })
@@ -69,60 +83,73 @@ proptest! {
         prop_assert!(d.scale(lo) <= d.scale(hi));
     }
 
-    /// The calendar queue is observationally identical to the flat
-    /// queue: arbitrary interleaved schedules, pops, and cancellations
+    /// The radix heap is observationally identical to the flat queue:
+    /// arbitrary interleaved schedules, bursts, pops, and cancellations
     /// produce the same seqs, the same peeks, the same pop order
     /// (same-instant rank/FIFO stability included), and the same stats.
     #[test]
-    fn calendar_queue_mirrors_flat_queue(
+    fn radix_queue_mirrors_flat_queue(
         ops in proptest::collection::vec(queue_op(), 1..120)
     ) {
-        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
+        let mut radix: RadixQueue<u64> = RadixQueue::new();
         let mut flat: EventQueue<u64> = EventQueue::new();
         // Seqs still pending in both queues (cancellation may only
         // target pending events — the documented contract).
         let mut pending: Vec<(u64, u64)> = Vec::new();
-        for (step, op) in ops.iter().enumerate() {
-            let step = step as u64;
+        let mut payload = 0u64;
+        for op in &ops {
             match *op {
                 QueueOp::Schedule { dt, rank } => {
-                    let t = cal.now() + SimDuration::from_picos(dt.saturating_mul(1_000));
-                    let a = cal.schedule_ranked(t, rank, step);
-                    let b = flat.schedule_ranked(t, rank, step);
+                    let t = radix.now().saturating_add(SimDuration::from_picos(dt));
+                    let a = radix.schedule_ranked(t, rank, payload);
+                    let b = flat.schedule_ranked(t, rank, payload);
                     prop_assert_eq!(a, b);
-                    pending.push((a, step));
+                    pending.push((a, payload));
+                    payload += 1;
+                }
+                QueueOp::Burst { dt, n, ranks } => {
+                    let t = radix.now().saturating_add(SimDuration::from_picos(dt));
+                    for i in 0..n {
+                        let rank = ((ranks >> (2 * i)) % 4) as u8;
+                        let a = radix.schedule_ranked(t, rank, payload);
+                        let b = flat.schedule_ranked(t, rank, payload);
+                        prop_assert_eq!(a, b);
+                        pending.push((a, payload));
+                        payload += 1;
+                    }
                 }
                 QueueOp::Pop => {
-                    prop_assert_eq!(cal.peek_time(), flat.peek_time());
-                    let a = cal.pop();
+                    prop_assert_eq!(radix.peek_time(), flat.peek_time());
+                    let a = radix.pop();
                     let b = flat.pop();
                     prop_assert_eq!(a, b);
-                    if let Some((_, payload)) = a {
-                        pending.retain(|&(_, p)| p != payload);
+                    if let Some((_, p)) = a {
+                        pending.retain(|&(_, q)| q != p);
                     }
                 }
                 QueueOp::Cancel(i) => {
                     if !pending.is_empty() {
                         let (seq, _) = pending.swap_remove(i % pending.len());
-                        prop_assert_eq!(cal.cancel(seq), flat.cancel(seq));
+                        prop_assert_eq!(radix.cancel(seq), flat.cancel(seq));
+                        prop_assert_eq!(radix.peek_time(), flat.peek_time());
                     }
                 }
             }
-            prop_assert_eq!(cal.len(), flat.len());
-            prop_assert_eq!(cal.is_empty(), flat.is_empty());
-            prop_assert_eq!(cal.now(), flat.now());
+            prop_assert_eq!(radix.len(), flat.len());
+            prop_assert_eq!(radix.is_empty(), flat.is_empty());
+            prop_assert_eq!(radix.now(), flat.now());
         }
         // Drain: the full residual pop order must agree.
         loop {
-            prop_assert_eq!(cal.peek_time(), flat.peek_time());
-            let a = cal.pop();
+            prop_assert_eq!(radix.peek_time(), flat.peek_time());
+            let a = radix.pop();
             let b = flat.pop();
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;
             }
         }
-        prop_assert_eq!(cal.stats(), flat.stats());
+        prop_assert_eq!(radix.stats(), flat.stats());
     }
 
     /// exponential() deviates are positive; chance() respects extremes.

@@ -6,11 +6,14 @@
 #
 # Runs the same gates as CI: formatting, lints (warnings are errors),
 # the determinism lint, the test suite for the default workspace
-# members, a fault-injection smoke run, the EXPERIMENTS.md byte-identity
-# check (zero churn must leave every figure untouched) and the fig1 run
-# manifest byte-identity check against the committed golden. The bench
-# crate and the in-repo criterion/proptest shims are outside the
-# default members and are exercised by `cargo build --workspace`.
+# members, the simcore tests again in release (the tests behind
+# `#[cfg(not(debug_assertions))]`, e.g. the event queues' past-schedule
+# clamp, only compile there), a fault-injection smoke run, the
+# EXPERIMENTS.md byte-identity check (zero churn must leave every figure
+# untouched) and the fig1 run manifest byte-identity check against the
+# committed golden. The bench crate and the in-repo criterion/proptest
+# shims are outside the default members and are exercised by
+# `cargo build --workspace`.
 #
 # Each step's wall time is summarized at the end — reported for humans
 # and CI logs only, never gated (DESIGN.md §11).
@@ -75,6 +78,9 @@ step "cargo build --workspace (includes bench crate + shims)" \
 
 step "cargo test (default members)" \
   cargo test -q
+
+step "cargo test --release (simcore release-only tests)" \
+  cargo test --release -q -p vgrid-simcore
 
 step "grid-churn quick run (fault-injection smoke)" \
   churn_smoke
