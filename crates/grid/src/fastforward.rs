@@ -220,12 +220,7 @@ impl WorkQueue {
         };
         for wu_idx in 0..project.workunits as usize {
             for _ in 0..project.replication {
-                copies.push(TaskCopy {
-                    wu: wu_idx,
-                    returned: false,
-                    cpu_spent: 0.0,
-                    rescued: false,
-                });
+                copies.push(TaskCopy::new(wu_idx));
                 queue.back.push_back(Work::Fresh(copies.len() - 1));
                 validator.note_issued(wu_idx);
             }
@@ -246,12 +241,7 @@ impl WorkQueue {
         if self.fresh_next < self.fresh_total {
             let wu_idx = (self.fresh_next / self.replication) as usize;
             self.fresh_next += 1;
-            copies.push(TaskCopy {
-                wu: wu_idx,
-                returned: false,
-                cpu_spent: 0.0,
-                rescued: false,
-            });
+            copies.push(TaskCopy::new(wu_idx));
             validator.note_issued(wu_idx);
             return Some(Work::Fresh(copies.len() - 1));
         }

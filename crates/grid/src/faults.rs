@@ -22,6 +22,15 @@
 //! RNG (`fork` derives a child without advancing the parent), so a
 //! fully disabled `ChurnConfig` leaves the legacy draw sequence — and
 //! therefore every existing report — byte-identical.
+//!
+//! The Weibull mean-matching divisor Γ(1 + 1/k) depends on the shape
+//! alone, so a campaign computes it once ([`span_gamma`]) and hands the
+//! same f64 to every span draw and to the migration hazard
+//! ([`crate::migration::interruption_hazard`]): dividing by the hoisted
+//! value is the per-call expression bit for bit. Shapes below
+//! [`MIN_AVAILABILITY_SHAPE`] are rejected: the Weibull's mass
+//! collapses onto spans that round to 0 ps and a campaign stops
+//! advancing time.
 
 use crate::error::Error;
 use vgrid_simcore::SimRng;
@@ -96,12 +105,9 @@ impl ChurnConfig {
 
     /// Validate the knobs; used by `CampaignSpec::build`.
     pub fn validate(&self) -> Result<(), Error> {
-        if !self.availability_shape.is_finite()
-            || self.availability_shape <= 0.0
-            || self.availability_shape > 10.0
-        {
+        if !(MIN_AVAILABILITY_SHAPE..=10.0).contains(&self.availability_shape) {
             return Err(Error::InvalidConfig(format!(
-                "availability_shape {} must be in (0, 10]",
+                "availability_shape {} must be in [{MIN_AVAILABILITY_SHAPE}, 10]",
                 self.availability_shape
             )));
         }
@@ -138,14 +144,34 @@ impl ChurnConfig {
     }
 }
 
+/// The smallest accepted Weibull availability shape. Below it most
+/// spans round to 0 ps and a campaign's event count explodes: a
+/// 1,000-host, 14-day campaign takes about 30 times as long at shape
+/// 0.05 as at 0.1, and a 4-host, one-day campaign at 0.02 runs for
+/// more than 10 s. Below about 0.0058, Γ(1 + 1/k) overflows, so every
+/// span is exactly 0 ps and the interruption hazard is NaN. The
+/// intensity family uses 0.7.
+pub const MIN_AVAILABILITY_SHAPE: f64 = 0.1;
+
+/// The Weibull mean-matching divisor Γ(1 + 1/k) of `shape`: a span with
+/// scale `mean / span_gamma(shape)` has mean `mean`. Computed once per
+/// campaign and passed to [`sample_span`] and the migration hazard.
+pub(crate) fn span_gamma(shape: f64) -> f64 {
+    gamma(1.0 + 1.0 / shape)
+}
+
 /// Draw one availability span with the configured shape and the given
-/// mean. `shape == 1.0` takes the exact legacy `exponential` path — the
-/// same single RNG call — so disabled churn cannot perturb streams.
-pub(crate) fn sample_span(rng: &mut SimRng, shape: f64, mean: f64) -> f64 {
+/// mean; `span_gamma` is [`span_gamma`]`(shape)`. The scale must stay
+/// the division `mean / span_gamma`, which is bit-identical to dividing
+/// by a freshly computed Γ; multiplying by a precomputed reciprocal
+/// would change bits. `shape == 1.0` takes the exact legacy
+/// `exponential` path — the same single RNG call — so disabled churn
+/// cannot perturb streams.
+pub(crate) fn sample_span(rng: &mut SimRng, shape: f64, span_gamma: f64, mean: f64) -> f64 {
     if shape == 1.0 {
         return rng.exponential(mean);
     }
-    weibull(rng, shape, mean / gamma(1.0 + 1.0 / shape))
+    weibull(rng, shape, mean / span_gamma)
 }
 
 /// Inverse-CDF Weibull draw: `scale * (-ln u)^(1/k)`, `u` in `(0, 1]`.
@@ -218,11 +244,13 @@ mod tests {
 
     #[test]
     fn validate_rejects_nonsense() {
-        let bad = ChurnConfig {
-            availability_shape: 0.0,
-            ..ChurnConfig::default()
-        };
-        assert!(bad.validate().is_err());
+        for shape in [0.0, -1.0, f64::NAN, f64::INFINITY, 10.5] {
+            let bad = ChurnConfig {
+                availability_shape: shape,
+                ..ChurnConfig::default()
+            };
+            assert!(bad.validate().is_err(), "{shape}");
+        }
         let bad = ChurnConfig {
             preempt_kill_prob: 1.5,
             ..ChurnConfig::default()
@@ -234,6 +262,43 @@ mod tests {
             ..ChurnConfig::default()
         };
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn degenerate_shapes_are_rejected_at_the_floor() {
+        // Shape 0.05 rounds most spans to 0 ps (and far smaller shapes
+        // overflow Γ), so a campaign stops advancing time; the floor is
+        // 0.1, and the floor itself is a valid shape.
+        let with_shape = |availability_shape| ChurnConfig {
+            availability_shape,
+            ..ChurnConfig::intensity(1.0)
+        };
+        assert!(with_shape(0.05).validate().is_err());
+        assert!(with_shape(0.099).validate().is_err());
+        with_shape(MIN_AVAILABILITY_SHAPE).validate().unwrap();
+        with_shape(10.0).validate().unwrap();
+        assert!(gamma(1.0 + 1.0 / 0.005).is_infinite());
+        assert!(span_gamma(MIN_AVAILABILITY_SHAPE).is_finite());
+    }
+
+    #[test]
+    fn hoisted_gamma_draws_equal_the_per_call_expression() {
+        // A campaign computes Γ(1 + 1/k) once; every draw must still be
+        // the per-call `mean / gamma(..)` division bit for bit (a
+        // precomputed reciprocal and a multiply would change bits).
+        let mut shapes = vec![0.1, 0.25, 0.5, 0.7, 1.5, 2.0, 3.0, 7.3, 10.0];
+        shapes.extend((1..100).map(|i| 0.1 + i as f64 * 0.099));
+        for shape in shapes {
+            let g = span_gamma(shape);
+            let mut a = SimRng::new(shape.to_bits());
+            let mut b = SimRng::new(shape.to_bits());
+            for i in 0..200 {
+                let mean = 1e-3 * 1.37f64.powi(i % 60);
+                let hoisted = sample_span(&mut a, shape, g, mean);
+                let per_call = weibull(&mut b, shape, mean / gamma(1.0 + 1.0 / shape));
+                assert_eq!(hoisted.to_bits(), per_call.to_bits(), "shape {shape}");
+            }
+        }
     }
 
     #[test]
@@ -250,7 +315,7 @@ mod tests {
         let mut a = SimRng::new(42);
         let mut b = SimRng::new(42);
         for _ in 0..100 {
-            let x = sample_span(&mut a, 1.0, 1234.5);
+            let x = sample_span(&mut a, 1.0, span_gamma(1.0), 1234.5);
             let y = b.exponential(1234.5);
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -262,7 +327,8 @@ mod tests {
             let mut rng = SimRng::new(7);
             let mean = 5_000.0;
             let n = 20_000;
-            let sum: f64 = (0..n).map(|_| sample_span(&mut rng, shape, mean)).sum(); // simlint: allow(float-fold-order) -- test statistic over a fixed sample order
+            let g = span_gamma(shape);
+            let sum: f64 = (0..n).map(|_| sample_span(&mut rng, shape, g, mean)).sum(); // simlint: allow(float-fold-order) -- test statistic over a fixed sample order
             let got = sum / n as f64;
             assert!(
                 (got - mean).abs() / mean < 0.05,
@@ -277,7 +343,7 @@ mod tests {
         let cv2 = |shape: f64| {
             let mut rng = SimRng::new(11);
             let xs: Vec<f64> = (0..20_000)
-                .map(|_| sample_span(&mut rng, shape, 1000.0))
+                .map(|_| sample_span(&mut rng, shape, span_gamma(shape), 1000.0))
                 .collect();
             let m = xs.iter().sum::<f64>() / xs.len() as f64; // simlint: allow(float-fold-order) -- test statistic over a fixed sample order
             let v = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64; // simlint: allow(float-fold-order) -- test statistic over a fixed sample order

@@ -32,6 +32,7 @@ use crate::hydrate::{HydrationPool, ProbeSpec};
 use crate::migration;
 use crate::model::{DeployConfig, ExecutionMode, GridReport, PoolConfig, ProjectConfig};
 use crate::options::RunOptions;
+use std::sync::Arc;
 use vgrid_machine::MachineSpec;
 use vgrid_simcore::{DetMap, EventQueue, EventScheduler, RadixQueue, SimDuration, SimRng, SimTime};
 use vgrid_workloads::einstein::EinsteinKernel;
@@ -132,6 +133,13 @@ pub(crate) struct HostSlot {
     archetype: u32,
 }
 
+impl HostSlot {
+    /// The host is computing task copy `copy`.
+    fn computes(&self, copy: usize) -> bool {
+        matches!(self.activity, Some(Activity::Compute { task, .. }) if task == copy)
+    }
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct TaskCopy {
     pub(crate) wu: usize,
@@ -141,6 +149,24 @@ pub(crate) struct TaskCopy {
     /// The straggler-rescue policy re-homed this copy's checkpoint; a
     /// later validation counts as a rescue win.
     pub(crate) rescued: bool,
+    /// The host that last took this copy (a fresh hand-out or a fetched
+    /// resume); `u32::MAX` before the first. A copy leaves a host only
+    /// by clearing that host's activity, so this host is the only one
+    /// that can be computing it. A `u32` fits the struct's padding.
+    pub(crate) holder: u32,
+}
+
+impl TaskCopy {
+    /// A fresh, never-handed-out copy of work unit `wu`.
+    pub(crate) fn new(wu: usize) -> Self {
+        TaskCopy {
+            wu,
+            returned: false,
+            cpu_spent: 0.0,
+            rescued: false,
+            holder: u32::MAX,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -208,6 +234,20 @@ struct FaultCtx<'a> {
     /// False when the churn config is fully inert: the simulator must
     /// take exactly the legacy code paths.
     on: bool,
+    /// The Weibull divisor Γ(1 + 1/k) of the availability shape, once
+    /// per campaign, for every span draw and interruption hazard.
+    span_gamma: f64,
+}
+
+impl<'a> FaultCtx<'a> {
+    fn new(churn: &'a ChurnConfig) -> Self {
+        FaultCtx {
+            churn,
+            backoff: BackoffPolicy::default(),
+            on: !churn.is_off(),
+            span_gamma: faults::span_gamma(churn.availability_shape),
+        }
+    }
 }
 
 /// Which host substrate executes a campaign. The two substrates are
@@ -343,11 +383,7 @@ fn resume_campaign(
     store_key: Option<&str>,
     ckpt: CampaignCheckpoint,
 ) -> GridReport {
-    let fctx = FaultCtx {
-        churn,
-        backoff: BackoffPolicy::default(),
-        on: !churn.is_off(),
-    };
+    let fctx = FaultCtx::new(churn);
     let CampaignCheckpoint {
         state: mut st,
         pending,
@@ -378,11 +414,7 @@ fn run_campaign_on<Q: EventScheduler<Ev>>(
     mut q: Q,
     store_key: Option<&str>,
 ) -> GridReport {
-    let fctx = FaultCtx {
-        churn,
-        backoff: BackoffPolicy::default(),
-        on: !churn.is_off(),
-    };
+    let fctx = FaultCtx::new(churn);
     let mut st = init_state(
         project, pool, deploy, churn, seed, lazy_queue, &fctx, &mut q,
     );
@@ -505,6 +537,17 @@ fn init_state<Q: EventScheduler<Ev>>(
         q.schedule(SimTime::from_secs_f64(delay), Ev::Up { h, gen: 0 });
     }
 
+    // Hosts currently idle (up, eligible, unpaused, no activity) — kept
+    // in lockstep with host state so server pushes touch only the hosts
+    // that can take work instead of scanning the pool. Only the
+    // migration audits read the fastest-first order.
+    let idle = if deploy.migration.is_off() {
+        IdleSet::new(hosts.len())
+    } else {
+        let speeds: Vec<f64> = hosts.iter().map(|h| h.speed).collect();
+        IdleSet::with_speed_order(&speeds)
+    };
+
     SimState {
         hosts,
         report,
@@ -517,10 +560,7 @@ fn init_state<Q: EventScheduler<Ev>>(
         copies,
         queue,
         makespan: None,
-        // Hosts currently idle (up, eligible, unpaused, no activity) —
-        // kept in lockstep with host state so server pushes touch only
-        // the hosts that can take work instead of scanning the pool.
-        idle: IdleSet::new(pool.volunteers as usize),
+        idle,
         inflight_xfers: 0,
     }
 }
@@ -574,6 +614,7 @@ fn run_loop<Q: EventScheduler<Ev>>(
                 let span = faults::sample_span(
                     &mut hosts[h].rng,
                     fctx.churn.availability_shape,
+                    fctx.span_gamma,
                     pool.mean_uptime_secs * fctx.churn.uptime_factor,
                 );
                 hosts[h].life_gen += 1;
@@ -662,6 +703,7 @@ fn run_loop<Q: EventScheduler<Ev>>(
                 let span = faults::sample_span(
                     &mut hosts[h].rng,
                     fctx.churn.availability_shape,
+                    fctx.span_gamma,
                     pool.mean_downtime_secs,
                 );
                 hosts[h].life_gen += 1;
@@ -776,12 +818,7 @@ fn run_loop<Q: EventScheduler<Ev>>(
                             RecordOutcome::Rejected => {
                                 report.bad_results += 1;
                                 // Replace the bad copy.
-                                copies.push(TaskCopy {
-                                    wu: wu_idx,
-                                    returned: false,
-                                    cpu_spent: 0.0,
-                                    rescued: false,
-                                });
+                                copies.push(TaskCopy::new(wu_idx));
                                 queue.push_back(Work::Fresh(copies.len() - 1));
                                 validator.note_issued(wu_idx);
                                 // The reporting host is between
@@ -808,12 +845,7 @@ fn run_loop<Q: EventScheduler<Ev>>(
             Ev::Deadline { copy } => {
                 if !copies[copy].returned && !validator.is_validated(copies[copy].wu) {
                     let wu = copies[copy].wu;
-                    copies.push(TaskCopy {
-                        wu,
-                        returned: false,
-                        cpu_spent: 0.0,
-                        rescued: false,
-                    });
+                    copies.push(TaskCopy::new(wu));
                     queue.push_back(Work::Fresh(copies.len() - 1));
                     validator.note_issued(wu);
                     report.reissues += 1;
@@ -927,12 +959,22 @@ fn run_loop<Q: EventScheduler<Ev>>(
                 if copies[copy].returned || validator.is_validated(copies[copy].wu) {
                     continue;
                 }
-                // Locate the copy's holder. Only a computing holder has
-                // checkpointed state worth exporting; a copy still in
-                // the queue or mid-download is left to the deadline.
-                let Some(holder) = hosts.iter().position(
-                    |s| matches!(s.activity, Some(Activity::Compute { task, .. }) if task == copy),
-                ) else {
+                // The copy's holder is the host that last took it, if
+                // that host is still computing it. Only a computing
+                // holder has checkpointed state worth exporting; a copy
+                // still in the queue or mid-download is left to the
+                // deadline.
+                let holder = copies[copy].holder as usize;
+                let found = hosts
+                    .get(holder)
+                    .is_some_and(|s| s.computes(copy))
+                    .then_some(holder);
+                debug_assert_eq!(
+                    found,
+                    hosts.iter().position(|s| s.computes(copy)),
+                    "recorded holder of copy {copy} disagrees with the pool scan",
+                );
+                let Some(holder) = found else {
                     continue;
                 };
                 let stranded = !hosts[holder].up || hosts[holder].paused;
@@ -953,7 +995,16 @@ fn run_loop<Q: EventScheduler<Ev>>(
                         continue;
                     }
                     let holder_speed = hosts[holder].speed;
-                    if !idle.iter().any(|i| hosts[i].speed > holder_speed) {
+                    let faster = idle
+                        .fastest_first()
+                        .next()
+                        .is_some_and(|f| hosts[f].speed > holder_speed);
+                    debug_assert_eq!(
+                        faster,
+                        idle.iter().any(|i| hosts[i].speed > holder_speed),
+                        "fastest idle host disagrees with the linear scan",
+                    );
+                    if !faster {
                         continue;
                     }
                 }
@@ -1012,6 +1063,7 @@ fn run_loop<Q: EventScheduler<Ev>>(
                     durable_progress(progress_ref + elapsed * rate, progress_ref, quantum);
                 let hazard = migration::interruption_hazard(
                     fctx.churn,
+                    fctx.span_gamma,
                     pool.mean_uptime_secs,
                     now.since(hosts[h].up_since).as_secs_f64(),
                     live_remaining / rate,
@@ -1031,19 +1083,22 @@ fn run_loop<Q: EventScheduler<Ev>>(
                 // the export would burn NIC time to move the task
                 // between equally doomed hosts — at extreme churn nobody
                 // qualifies and the policy holds still.
-                let safe_home = idle.iter().any(|i| {
-                    let cand = &hosts[i];
-                    if cand.speed < hosts[h].speed {
-                        return false;
-                    }
-                    let cand_rate = compute_rate(cand, vm_factor, ckpt_frac);
-                    migration::interruption_hazard(
-                        fctx.churn,
-                        pool.mean_uptime_secs,
-                        now.since(cand.up_since).as_secs_f64(),
-                        live_remaining / cand_rate,
-                    ) < deploy.migration.hazard_threshold
-                });
+                let home = SafeHomeQuery {
+                    fctx,
+                    mean_uptime_secs: pool.mean_uptime_secs,
+                    threshold: deploy.migration.hazard_threshold,
+                    now,
+                    holder_speed: hosts[h].speed,
+                    live_remaining,
+                    vm_factor,
+                    ckpt_frac,
+                };
+                let safe_home = home.fastest_first(idle, hosts);
+                debug_assert_eq!(
+                    safe_home,
+                    home.linear(idle, hosts),
+                    "fastest-first safe-home walk disagrees with the linear scan",
+                );
                 if !safe_home {
                     q.schedule(
                         now.saturating_add(deploy.checkpoint_interval),
@@ -1207,38 +1262,180 @@ fn compute_rate(host: &HostSlot, vm_factor: f64, ckpt_frac: f64) -> f64 {
 }
 
 /// The idle hosts as one bit per host id. Membership changes on nearly
-/// every event, so insert and remove are single word operations; the
-/// iteration order is ascending host id, which is the hand-out order
-/// of [`kick_idle_hosts`] and the scan order of the migration audits.
+/// every event, so insert and remove are single word operations.
+/// [`IdleSet::iter`] runs in ascending host id, the hand-out order of
+/// [`kick_idle_hosts`]. Campaigns with a migration policy keep the same
+/// set a second time, one bit per speed rank, so the migration audits
+/// can walk it fastest first ([`IdleSet::fastest_first`]).
 #[derive(Debug, Clone)]
 struct IdleSet {
+    words: Vec<u64>,
+    by_speed: Option<SpeedRanks>,
+}
+
+/// The fastest-first view of an [`IdleSet`]: O(hosts) whatever the
+/// speed range.
+#[derive(Debug, Clone)]
+struct SpeedRanks {
+    /// Host id → speed rank: rank 0 is the fastest host, equal speeds
+    /// rank by ascending id. Fixed at campaign start; trajectory
+    /// snapshots share the table instead of copying it.
+    rank: Arc<[u32]>,
+    /// Speed rank → host id.
+    host: Arc<[u32]>,
+    /// The idle hosts, one bit per speed rank.
     words: Vec<u64>,
 }
 
 impl IdleSet {
-    /// An empty set over host ids `0..hosts`.
+    /// An empty set over host ids `0..hosts`, without a speed order.
     fn new(hosts: usize) -> Self {
         IdleSet {
             words: vec![0; hosts.div_ceil(64)],
+            by_speed: None,
+        }
+    }
+
+    /// An empty set over the hosts whose speeds are `speeds` (indexed by
+    /// host id), with the fastest-first order the audits walk.
+    fn with_speed_order(speeds: &[f64]) -> Self {
+        let mut host: Vec<u32> = (0..speeds.len() as u32).collect();
+        // Stable sort on a total order: speed descending, then id.
+        host.sort_by(|&a, &b| {
+            speeds[b as usize]
+                .total_cmp(&speeds[a as usize])
+                .then(a.cmp(&b))
+        });
+        let mut rank = vec![0u32; speeds.len()];
+        for (r, &h) in host.iter().enumerate() {
+            rank[h as usize] = r as u32;
+        }
+        IdleSet {
+            by_speed: Some(SpeedRanks {
+                rank: rank.into(),
+                host: host.into(),
+                words: vec![0; speeds.len().div_ceil(64)],
+            }),
+            ..IdleSet::new(speeds.len())
         }
     }
 
     fn insert(&mut self, h: usize) {
         self.words[h / 64] |= 1 << (h % 64);
+        if let Some(s) = &mut self.by_speed {
+            let r = s.rank[h] as usize;
+            s.words[r / 64] |= 1 << (r % 64);
+        }
     }
 
     fn remove(&mut self, h: usize) {
         self.words[h / 64] &= !(1 << (h % 64));
+        if let Some(s) = &mut self.by_speed {
+            let r = s.rank[h] as usize;
+            s.words[r / 64] &= !(1 << (r % 64));
+        }
     }
 
     /// Member host ids in ascending order.
     fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            std::iter::successors((word != 0).then_some(word), |&rest| {
-                let rest = rest & (rest - 1);
-                (rest != 0).then_some(rest)
-            })
-            .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+        set_bits(&self.words)
+    }
+
+    /// Member host ids fastest first, equal speeds by ascending id. Only
+    /// campaigns with a migration policy build this order.
+    fn fastest_first(&self) -> impl Iterator<Item = usize> + '_ {
+        let s = self
+            .by_speed
+            .as_ref()
+            .expect("the speed order exists whenever a migration policy is on");
+        set_bits(&s.words).map(|r| s.host[r] as usize)
+    }
+}
+
+/// Indices of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors((word != 0).then_some(word), |&rest| {
+            let rest = rest & (rest - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+    })
+}
+
+/// One evacuation audit's question to the idle pool: does a host at
+/// least as fast as the holder have an interruption hazard below the
+/// threshold over the holder's remaining work? Only existence matters,
+/// so the visiting order cannot change the answer.
+struct SafeHomeQuery<'a> {
+    fctx: &'a FaultCtx<'a>,
+    mean_uptime_secs: f64,
+    threshold: f64,
+    now: SimTime,
+    holder_speed: f64,
+    /// Reference seconds of work the holder has left.
+    live_remaining: f64,
+    vm_factor: f64,
+    ckpt_frac: f64,
+}
+
+impl SafeHomeQuery<'_> {
+    /// The audit: walk the idle hosts fastest first and stop at the
+    /// first one slower than the holder (every later one is slower
+    /// still), or at the first whose owner-arrival term alone clears the
+    /// threshold by [`migration::OWNER_STOP_MARGIN`] (no later host is
+    /// faster, so none has a shorter window or a smaller owner term;
+    /// sound while [`migration::owner_stop_is_sound`] holds, DESIGN.md
+    /// §16). Equal to [`SafeHomeQuery::linear`] by construction.
+    fn fastest_first(&self, idle: &IdleSet, hosts: &[HostSlot]) -> bool {
+        let churn = self.fctx.churn;
+        let owner_stop = migration::owner_stop_is_sound(
+            churn,
+            self.fctx.span_gamma,
+            self.mean_uptime_secs,
+            self.now.as_secs_f64(),
+        );
+        for i in idle.fastest_first() {
+            let cand = &hosts[i];
+            if cand.speed < self.holder_speed {
+                return false;
+            }
+            let window = self.live_remaining / compute_rate(cand, self.vm_factor, self.ckpt_frac);
+            let p_owner = migration::owner_arrival_prob(churn, window);
+            if owner_stop && p_owner >= self.threshold + migration::OWNER_STOP_MARGIN {
+                return false;
+            }
+            let hazard = migration::hazard_given_owner(
+                churn,
+                self.fctx.span_gamma,
+                self.mean_uptime_secs,
+                self.now.since(cand.up_since).as_secs_f64(),
+                window,
+                p_owner,
+            );
+            if hazard < self.threshold {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The reference answer: every idle host in ascending id, each
+    /// tested in full. Debug builds cross-check every audit against it.
+    fn linear(&self, idle: &IdleSet, hosts: &[HostSlot]) -> bool {
+        idle.iter().any(|i| {
+            let cand = &hosts[i];
+            if cand.speed < self.holder_speed {
+                return false;
+            }
+            let cand_rate = compute_rate(cand, self.vm_factor, self.ckpt_frac);
+            migration::interruption_hazard(
+                self.fctx.churn,
+                self.fctx.span_gamma,
+                self.mean_uptime_secs,
+                self.now.since(cand.up_since).as_secs_f64(),
+                self.live_remaining / cand_rate,
+            ) < self.threshold
         })
     }
 }
@@ -1506,6 +1703,7 @@ fn start_next_activity<Q: EventScheduler<Ev>>(
             match work {
                 Work::Fresh(copy) => {
                     debug_assert!(!copies[copy].returned);
+                    copies[copy].holder = h as u32;
                     hosts[h].activity = Some(Activity::InputDl {
                         remaining: project.wu_input_bytes as f64,
                         task: copy,
@@ -1534,6 +1732,7 @@ fn start_next_activity<Q: EventScheduler<Ev>>(
                         ExecutionMode::Native => deploy.native_checkpoint_bytes,
                         ExecutionMode::Vm(p) => p.guest_ram,
                     };
+                    copies[copy].holder = h as u32;
                     hosts[h].activity = Some(Activity::StateDl {
                         remaining: state_bytes as f64,
                         task: copy,
@@ -1602,6 +1801,8 @@ fn arm_evac_check<Q: EventScheduler<Ev>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::migration::MigrationPolicy;
+    use proptest::prelude::*;
     use vgrid_simcore::DetSet;
     use vgrid_vmm::VmmProfile;
 
@@ -1609,12 +1810,28 @@ mod tests {
     fn idle_set_matches_ordered_set_reference() {
         // Both substrates share the idle set, so the equivalence suites
         // cannot see an ordering bug here: compare it with an ordered
-        // set directly. 1,000 hosts is not a multiple of 64, so the last
-        // word is partial.
+        // set, and its fastest-first order with a reference sort,
+        // directly. 1,000 hosts is not a multiple of 64, so the last
+        // word is partial; speeds come in quarter bands, so most hosts
+        // tie with others.
         let n = 1000;
         let mut rng = SimRng::new(0x1d1e);
+        let speeds: Vec<f64> = (0..n)
+            .map(|_| 0.5 + 0.25 * rng.next_below(7) as f64)
+            .collect();
         let mut bits = IdleSet::new(n);
+        let mut ranked = IdleSet::with_speed_order(&speeds);
         let mut reference: DetSet<usize> = DetSet::new();
+        let fastest_first = |set: &DetSet<usize>| {
+            let mut members: Vec<usize> = set.iter().copied().collect();
+            members.sort_by(|&a, &b| {
+                speeds[b]
+                    .partial_cmp(&speeds[a])
+                    .expect("finite speeds")
+                    .then(a.cmp(&b))
+            });
+            members
+        };
         let boundary = [0, 63, 64, 127, 128, n - 64, n - 1];
         for step in 0..20_000u64 {
             let h = if step % 3 == 0 {
@@ -1624,24 +1841,184 @@ mod tests {
             };
             if rng.chance(0.5) {
                 bits.insert(h);
+                ranked.insert(h);
                 reference.insert(h);
             } else {
                 bits.remove(h);
+                ranked.remove(h);
                 reference.remove(&h);
             }
             if step % 97 == 0 {
                 assert!(bits.iter().eq(reference.iter().copied()), "step {step}");
+                assert!(ranked.iter().eq(reference.iter().copied()), "step {step}");
+                assert!(
+                    ranked.fastest_first().eq(fastest_first(&reference)),
+                    "step {step}"
+                );
             }
         }
         for &h in &boundary {
             bits.insert(h);
+            ranked.insert(h);
             reference.insert(h);
         }
         assert!(bits.iter().eq(reference.iter().copied()));
+        assert!(ranked.fastest_first().eq(fastest_first(&reference)));
+        for h in 0..n {
+            ranked.insert(h);
+            reference.insert(h);
+        }
+        assert!(ranked.fastest_first().eq(fastest_first(&reference)));
         for h in 0..n {
             bits.remove(h);
+            ranked.remove(h);
         }
         assert_eq!(bits.iter().next(), None);
+        assert_eq!(ranked.iter().next(), None);
+        assert_eq!(ranked.fastest_first().next(), None);
+    }
+
+    /// An up, idle host of the given speed, up since `up_since`.
+    fn idle_host(speed: f64, up_since: SimTime) -> HostSlot {
+        HostSlot {
+            speed,
+            excluded: false,
+            up: true,
+            life_gen: 0,
+            act_gen: 0,
+            has_image: true,
+            activity: None,
+            act_started: SimTime::ZERO,
+            up_since,
+            uptime_total: 0.0,
+            rng: SimRng::new(0),
+            frng: SimRng::new(0),
+            paused: false,
+            refetch_pending: false,
+            backoff: BackoffState::new(&BackoffPolicy::default()),
+            archetype: 0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The evacuation audit's fastest-first walk, with its speed
+        /// stop and its owner-term stop, answers exactly what the linear
+        /// scan of every idle host answers. Random idle sets (empty, all
+        /// idle, tied speeds), uptimes and remaining work, at the full
+        /// validated width of every input the hazard reads: shapes 0.1
+        /// to 10, mean uptime and owner mean from 1e-10 to 1e9 s (owner
+        /// arrivals also off), uptimes from 0 to the whole simulated
+        /// time range, windows far shorter than the uptime, and
+        /// thresholds near 0, exactly 1, random, and tied to each idle
+        /// host's owner term, to that term plus the stop's margin, and
+        /// to its hazard: the values where the two comparisons meet.
+        #[test]
+        fn safe_home_walk_matches_linear_scan(
+            layout in any::<u64>(),
+            n in 0usize..40,
+            idle_sel in 0u8..3,
+            speed_sel in 0u8..3,
+            shape in prop_oneof![Just(0.1), Just(1.0), Just(10.0), 0.1f64..10.0],
+            mean_up_log in prop_oneof![Just(-10.0), Just(9.0), -10.0f64..9.0],
+            owner_sel in 0u8..4,
+            owner_log in -10.0f64..9.0,
+            now_sel in 0u8..3,
+            uptime_sel in 0u8..3,
+            remaining_log in -12.0f64..8.0,
+        ) {
+            let mut rng = SimRng::new(layout);
+            let speeds: Vec<f64> = (0..n)
+                .map(|_| match speed_sel {
+                    0 => 1.0,
+                    1 => 0.5 + 0.25 * rng.next_below(7) as f64,
+                    _ => rng.range_f64(0.5, 2.0),
+                })
+                .collect();
+            let holder_speed = if n > 0 && rng.chance(0.5) {
+                speeds[rng.next_below(n as u64) as usize]
+            } else {
+                rng.range_f64(0.4, 2.1)
+            };
+            let now = match now_sel {
+                0 => SimTime::MAX,
+                1 => SimTime::from_secs(14 * 24 * 3600),
+                _ => SimTime::from_secs_f64(rng.range_f64(0.0, 30.0 * 24.0 * 3600.0)),
+            };
+            let hosts: Vec<HostSlot> = speeds
+                .iter()
+                .map(|&speed| {
+                    let up_since = match uptime_sel {
+                        0 => now,
+                        1 => SimTime::ZERO,
+                        _ => SimTime::from_picos(rng.next_below(now.as_picos().max(1))),
+                    };
+                    idle_host(speed, up_since)
+                })
+                .collect();
+            let mut idle = IdleSet::with_speed_order(&speeds);
+            for h in 0..n {
+                if idle_sel == 1 || (idle_sel == 2 && rng.chance(0.5)) {
+                    idle.insert(h);
+                }
+            }
+            let churn = ChurnConfig {
+                availability_shape: shape,
+                uptime_factor: 1.0,
+                owner_arrival_mean_secs: if owner_sel == 0 { 0.0 } else { 10f64.powf(owner_log) },
+                owner_session_mean_secs: 1800.0,
+                preempt_kill_prob: 0.0,
+                vm_kill_mean_secs: 0.0,
+            };
+            prop_assert!(churn.validate().is_ok());
+            let fctx = FaultCtx::new(&churn);
+            let mut query = SafeHomeQuery {
+                fctx: &fctx,
+                mean_uptime_secs: 10f64.powf(mean_up_log),
+                threshold: 1.0,
+                now,
+                holder_speed,
+                live_remaining: 10f64.powf(remaining_log),
+                vm_factor: rng.range_f64(1.0, 3.0),
+                ckpt_frac: rng.range_f64(0.0, 0.2),
+            };
+
+            let mut thresholds = vec![1e-300, 1.0, rng.next_f64()];
+            for h in idle.iter() {
+                let window = query.live_remaining
+                    / compute_rate(&hosts[h], query.vm_factor, query.ckpt_frac);
+                let p_owner = migration::owner_arrival_prob(&churn, window);
+                let hazard = migration::interruption_hazard(
+                    &churn,
+                    fctx.span_gamma,
+                    query.mean_uptime_secs,
+                    now.since(hosts[h].up_since).as_secs_f64(),
+                    window,
+                );
+                thresholds.extend([p_owner, p_owner + migration::OWNER_STOP_MARGIN, hazard]);
+            }
+            for t in thresholds {
+                // Every threshold a policy can carry: (0, 1].
+                query.threshold = if t > 0.0 { t.min(1.0) } else { f64::MIN_POSITIVE };
+                let policy = MigrationPolicy {
+                    hazard_threshold: query.threshold,
+                    ..MigrationPolicy::full()
+                };
+                prop_assert!(policy.validate().is_ok());
+                prop_assert_eq!(
+                    query.fastest_first(&idle, &hosts),
+                    query.linear(&idle, &hosts),
+                    "threshold {} holder speed {} shape {} mean uptime {} owner mean {} now {:?}",
+                    query.threshold,
+                    holder_speed,
+                    shape,
+                    query.mean_uptime_secs,
+                    churn.owner_arrival_mean_secs,
+                    now
+                );
+            }
+        }
     }
 
     /// Churn-enabled entry point on the default (batched) substrate.

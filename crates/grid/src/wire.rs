@@ -1078,11 +1078,15 @@ mod tests {
 
     #[test]
     fn invalid_churn_is_an_invalid_error_via_build() {
-        let body = r#"{"spec_version": 1, "churn": {"availability_shape": 0.0}}"#;
-        let req = parse_request(body).expect("parses fine");
-        let e = WireError::from(req.spec.build().unwrap_err());
-        assert_eq!(e.kind, WireErrorKind::Invalid);
-        assert!(e.message.contains("availability_shape"), "{e}");
+        // 0.05 is below the shape floor: its spans round to 0 ps.
+        for shape in ["0.0", "0.05"] {
+            let body =
+                format!(r#"{{"spec_version": 1, "churn": {{"availability_shape": {shape}}}}}"#);
+            let req = parse_request(&body).expect("parses fine");
+            let e = WireError::from(req.spec.build().unwrap_err());
+            assert_eq!(e.kind, WireErrorKind::Invalid);
+            assert!(e.message.contains("availability_shape"), "{e}");
+        }
     }
 
     #[test]

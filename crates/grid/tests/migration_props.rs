@@ -39,20 +39,26 @@ proptest! {
     /// the report is bit-identical across both substrates, fast-forward
     /// on and off, and parallel vs sequential repetitions. (Campaigns
     /// have no scheduler mode: `RunOptions::scheduler` never reaches
-    /// them.)
+    /// them.) The tuning knobs vary too, so the audits' debug
+    /// cross-checks against the linear scans see every threshold and
+    /// slack, not only the presets'.
     #[test]
     fn migration_invariants_hold_in_every_execution_mode(
         seed in any::<u64>(),
         volunteers in 5u32..30,
         churn_level in 0u32..4,
         policy_sel in 0u8..4,
+        slack_pct in 1u32..101,
+        thresh_pct in 1u32..101,
     ) {
-        let policy = match policy_sel {
+        let mut policy = match policy_sel {
             0 => MigrationPolicy::off(),
             1 => MigrationPolicy::rescue_only(),
             2 => MigrationPolicy::evacuate_only(),
             _ => MigrationPolicy::full(),
         };
+        policy.rescue_slack = slack_pct as f64 / 100.0;
+        policy.hazard_threshold = thresh_pct as f64 / 100.0;
         let spec = spec(seed, volunteers, churn_level as f64, policy);
 
         let combos = [

@@ -68,6 +68,13 @@ fn bad_requests_get_typed_errors_and_the_server_stays_up() {
                 "invalid",
                 "availability_shape",
             ),
+            // A shape below the floor rounds most spans to 0 ps: the
+            // campaign would stop advancing time.
+            (
+                r#"{"spec_version": 1, "churn": {"availability_shape": 0.05}}"#,
+                "invalid",
+                "availability_shape",
+            ),
             // Unknown key: diagnosed, never silently ignored.
             (
                 r#"{"spec_version": 1, "pool": {"volunteeers": 8}}"#,
