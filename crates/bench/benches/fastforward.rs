@@ -13,7 +13,8 @@
 //!
 //! Fast-forward must be invisible in the results: both digests are
 //! recorded as metric rows and `bench.sh --check` gates on
-//! `digest_on == digest_off` plus a >= 5x wall-time floor.
+//! `digest_on == digest_off` plus a >= 5x wall-time floor. The digest's
+//! committed value is pinned in `tests/sim_output_pins.rs`.
 
 use criterion::{criterion_group, criterion_main, report_metric, Criterion};
 use vgrid_grid::{

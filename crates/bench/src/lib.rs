@@ -1,18 +1,20 @@
 //! # vgrid-bench
 //!
-//! Criterion benchmark harness regenerating every table and figure of
-//! the paper (plus the ablations and extensions). Each bench target:
+//! Criterion benchmarks of the simulator itself, driven by
+//! `scripts/bench.sh`:
 //!
-//! 1. runs its experiment once and **prints the reproduced figure**
-//!    (with the paper's reported values alongside) — so `cargo bench`
-//!    regenerates the paper's evaluation; and
-//! 2. benchmarks the *testbed itself* — how long the simulator takes to
-//!    reproduce that figure — which is the meaningful wall-clock metric
-//!    for a simulator (the figures' own values are simulated time and
-//!    deterministic).
+//! - `benches/substrate.rs` microbenchmarks the hot layers (event loop,
+//!   slice coalescing, contention solver, LZMA and FFT kernels);
+//! - `benches/grid_scale.rs` times the grid substrate from 10k hosts up
+//!   to the million-host month;
+//! - `benches/fastforward.rs` times the grid-churn sweep with the
+//!   trajectory cache off and on;
+//! - `benches/grid_tradeoff.rs` prints the volunteer-project throughput
+//!   figure and times regenerating it.
 //!
-//! `benches/substrate.rs` additionally microbenchmarks the hot layers
-//! (event loop, LZMA kernel, contention solver).
+//! `vgrid-report --paper` regenerates every paper figure; the
+//! simulation outputs these benches once pinned live in
+//! `tests/sim_output_pins.rs`.
 
 #![forbid(unsafe_code)]
 
@@ -26,20 +28,6 @@ where
 {
     let fig = f();
     println!("\n{}", fig.render());
-    let mut group = c.benchmark_group("reproduce");
-    group.sample_size(10);
-    group.bench_function(name, |b| b.iter(&f));
-    group.finish();
-}
-
-/// Print several figures produced by one experiment, then benchmark it.
-pub fn bench_figures<F>(c: &mut Criterion, name: &str, f: F)
-where
-    F: Fn() -> Vec<FigureResult>,
-{
-    for fig in f() {
-        println!("\n{}", fig.render());
-    }
     let mut group = c.benchmark_group("reproduce");
     group.sample_size(10);
     group.bench_function(name, |b| b.iter(&f));

@@ -14,11 +14,11 @@
 //! fields included), so two profiles sharing a display name but
 //! differing in any parameter never share a hydration probe.
 //!
-//! **Bit-identity rule** (DESIGN.md §12): the per-host rate is always
-//! evaluated in the exact operation order of the pre-archetype
-//! simulator — `speed / vm_factor * (1.0 - ckpt_frac).max(0.05)` — on
-//! both substrates, and `CampaignSpec::build`'s deadline check uses the
-//! same expression through [`SegmentSolution::rate`].
+//! **Bit-identity rule** (DESIGN.md §12): the per-host rate has one
+//! formula, [`SegmentSolution::rate`], in the exact operation order of
+//! the pre-archetype simulator — `speed / vm_factor * (1.0 -
+//! ckpt_frac).max(0.05)`. Both substrates, the migration audits and
+//! `CampaignSpec::build`'s deadline check all call it.
 
 use crate::checkpoint::write_overhead_frac;
 use crate::faults::ChurnConfig;

@@ -111,7 +111,6 @@ pub struct QuorumValidator {
 #[derive(Debug, Clone, Copy, Default)]
 struct UnitState {
     good: u32,
-    issued: u32,
     validated: bool,
     /// CPU seconds of good results received before validation.
     pending_cpu: f64,
@@ -126,16 +125,6 @@ impl QuorumValidator {
             validated_count: 0,
             useful_cpu_secs: 0.0,
         }
-    }
-
-    /// Record that another copy of `wu` was issued.
-    pub fn note_issued(&mut self, wu: usize) {
-        self.units[wu].issued += 1;
-    }
-
-    /// Copies of `wu` issued so far.
-    pub fn issued(&self, wu: usize) -> u32 {
-        self.units[wu].issued
     }
 
     /// Whether `wu` has validated.
@@ -229,7 +218,5 @@ mod tests {
         assert_eq!(v.useful_cpu_secs(), 220.0);
         assert_eq!(v.record(0, true, 99.0), RecordOutcome::Late);
         assert_eq!(v.useful_cpu_secs(), 220.0);
-        v.note_issued(1);
-        assert_eq!(v.issued(1), 1);
     }
 }

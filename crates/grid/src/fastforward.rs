@@ -21,7 +21,8 @@
 //! hydrated-reference substrate and the kill switch
 //! (`RunOptions::fastforward`, `--no-fastforward` on the CLI) skip the
 //! trajectory cache and run the eager queue, and the equivalence suites
-//! plus `bench.sh --check` pin the fast path bit-identical to both.
+//! plus the churn-sweep digest pinned in `tests/sim_output_pins.rs` hold
+//! the fast path bit-identical to both.
 
 use crate::faults::ChurnConfig;
 use crate::model::{DeployConfig, PoolConfig, ProjectConfig};
@@ -174,11 +175,11 @@ pub(crate) fn trajectory_store(key: &str, horizon: SimTime, ckpt: CampaignCheckp
 /// materializes a copy only when a host actually takes it.
 ///
 /// Bit-transparency: copy indices are internal lookup keys that never
-/// reach a report, `QuorumValidator::note_issued` bookkeeping is never
-/// read back by the simulator, and pop order (front resumes → fresh
-/// cursor → back reissues) is exactly the eager queue's order. The
-/// reference substrate and the `--no-fastforward` arm use
-/// [`WorkQueue::eager`], which reproduces the legacy setup verbatim.
+/// reach a report, both forms materialize copies through
+/// `TaskCopy::issue`, and pop order (front resumes → fresh cursor →
+/// back reissues) is exactly the eager queue's order. The reference
+/// substrate and the `--no-fastforward` arm use [`WorkQueue::eager`],
+/// which reproduces the legacy setup verbatim.
 #[derive(Debug, Clone)]
 pub(crate) struct WorkQueue {
     /// Migrated resumes jump the queue (legacy `push_front`).
@@ -206,11 +207,7 @@ impl WorkQueue {
 
     /// Eager queue: the legacy setup loop, materializing and issuing
     /// every copy up front (reference substrate / kill switch).
-    pub(crate) fn eager(
-        project: &ProjectConfig,
-        copies: &mut Vec<TaskCopy>,
-        validator: &mut crate::checkpoint::QuorumValidator,
-    ) -> Self {
+    pub(crate) fn eager(project: &ProjectConfig, copies: &mut Vec<TaskCopy>) -> Self {
         let mut queue = WorkQueue {
             front: VecDeque::new(),
             fresh_next: 0,
@@ -220,9 +217,7 @@ impl WorkQueue {
         };
         for wu_idx in 0..project.workunits as usize {
             for _ in 0..project.replication {
-                copies.push(TaskCopy::new(wu_idx));
-                queue.back.push_back(Work::Fresh(copies.len() - 1));
-                validator.note_issued(wu_idx);
+                queue.back.push_back(TaskCopy::issue(copies, wu_idx));
             }
         }
         queue
@@ -230,20 +225,14 @@ impl WorkQueue {
 
     /// Pop the next piece of work, materializing a fresh copy if the
     /// cursor is the head of the queue.
-    pub(crate) fn pop_front(
-        &mut self,
-        copies: &mut Vec<TaskCopy>,
-        validator: &mut crate::checkpoint::QuorumValidator,
-    ) -> Option<Work> {
+    pub(crate) fn pop_front(&mut self, copies: &mut Vec<TaskCopy>) -> Option<Work> {
         if let Some(work) = self.front.pop_front() {
             return Some(work);
         }
         if self.fresh_next < self.fresh_total {
             let wu_idx = (self.fresh_next / self.replication) as usize;
             self.fresh_next += 1;
-            copies.push(TaskCopy::new(wu_idx));
-            validator.note_issued(wu_idx);
-            return Some(Work::Fresh(copies.len() - 1));
+            return Some(TaskCopy::issue(copies, wu_idx));
         }
         self.back.pop_front()
     }
@@ -317,11 +306,9 @@ mod tests {
             ..Default::default()
         };
         let mut lazy_copies = Vec::new();
-        let mut lazy_v = crate::checkpoint::QuorumValidator::new(3, 2);
         let mut lazy = WorkQueue::lazy(&project);
         let mut eager_copies = Vec::new();
-        let mut eager_v = crate::checkpoint::QuorumValidator::new(3, 2);
-        let mut eager = WorkQueue::eager(&project, &mut eager_copies, &mut eager_v);
+        let mut eager = WorkQueue::eager(&project, &mut eager_copies);
         // Interleave a resume (jumps the queue) and a reissue (goes
         // behind the fresh cursor) and check the popped work-unit
         // sequence matches.
@@ -334,8 +321,8 @@ mod tests {
         let mut lazy_seq = Vec::new();
         let mut eager_seq = Vec::new();
         loop {
-            let a = lazy.pop_front(&mut lazy_copies, &mut lazy_v);
-            let b = eager.pop_front(&mut eager_copies, &mut eager_v);
+            let a = lazy.pop_front(&mut lazy_copies);
+            let b = eager.pop_front(&mut eager_copies);
             match (a, b) {
                 (None, None) => break,
                 (Some(a), Some(b)) => {
@@ -351,9 +338,12 @@ mod tests {
         }
         assert_eq!(lazy_seq, eager_seq);
         assert_eq!(lazy_seq, vec![-1, 0, 0, 1, 1, 2, 2]);
-        // The lazy side issued exactly what the eager side did.
-        for wu in 0..3 {
-            assert_eq!(lazy_v.issued(wu), eager_v.issued(wu));
-        }
+        // The lazy side issued exactly the copies the eager side did.
+        let issued = |copies: &[TaskCopy]| {
+            let mut wus: Vec<usize> = copies.iter().map(|c| c.wu).collect();
+            wus.sort();
+            wus
+        };
+        assert_eq!(issued(&lazy_copies), issued(&eager_copies));
     }
 }

@@ -23,9 +23,15 @@
 //! come from a forked per-host stream (forking never advances the
 //! parent), span draws collapse to the exact legacy `exponential`
 //! calls, and no fault event is ever scheduled.
+//!
+//! A campaign in flight is one [`Run`]: the mutable [`SimState`], the
+//! event queue and the time of the current event, next to the borrowed
+//! configs. Each event kind has one handler method on it (DESIGN.md §12).
 
-use crate::archetype::{self, ArchetypeKey};
-use crate::checkpoint::{durable_progress, BackoffPolicy, BackoffState, QuorumValidator};
+use crate::archetype::{self, ArchetypeKey, SegmentSolution};
+use crate::checkpoint::{
+    durable_progress, BackoffPolicy, BackoffState, QuorumValidator, RecordOutcome,
+};
 use crate::fastforward::{self, WorkQueue};
 use crate::faults::{self, ChurnConfig};
 use crate::hydrate::{HydrationPool, ProbeSpec};
@@ -128,15 +134,24 @@ pub(crate) struct HostSlot {
     /// A backoff refetch event is already in flight.
     refetch_pending: bool,
     backoff: BackoffState,
-    /// Index into the campaign's archetype table.
-    #[allow(dead_code)] // read by the census and future batched solvers
-    archetype: u32,
 }
 
 impl HostSlot {
     /// The host is computing task copy `copy`.
     fn computes(&self, copy: usize) -> bool {
         matches!(self.activity, Some(Activity::Compute { task, .. }) if task == copy)
+    }
+
+    /// The host can take work: up, eligible, unpaused and between
+    /// activities.
+    fn idle(&self) -> bool {
+        self.up && !self.excluded && !self.paused && self.activity.is_none()
+    }
+
+    /// An event armed in up-span `gen` still applies: that span is the
+    /// current one and the host is up and eligible.
+    fn live(&self, gen: u64) -> bool {
+        gen == self.life_gen && self.up && !self.excluded
     }
 }
 
@@ -157,15 +172,17 @@ pub(crate) struct TaskCopy {
 }
 
 impl TaskCopy {
-    /// A fresh, never-handed-out copy of work unit `wu`.
-    pub(crate) fn new(wu: usize) -> Self {
-        TaskCopy {
+    /// Materialize a fresh, never-handed-out copy of work unit `wu` and
+    /// return it as queue work.
+    pub(crate) fn issue(copies: &mut Vec<TaskCopy>, wu: usize) -> Work {
+        copies.push(TaskCopy {
             wu,
             returned: false,
             cpu_spent: 0.0,
             rescued: false,
             holder: u32::MAX,
-        }
+        });
+        Work::Fresh(copies.len() - 1)
     }
 }
 
@@ -227,7 +244,8 @@ pub(crate) enum Ev {
     },
 }
 
-/// Churn context threaded through the helpers.
+/// The churn config with the constants derived from it once per
+/// campaign.
 struct FaultCtx<'a> {
     churn: &'a ChurnConfig,
     backoff: BackoffPolicy,
@@ -294,51 +312,48 @@ pub(crate) fn run_campaign_substrate(
     match options.substrate {
         SubstrateMode::Batched => {
             let key = ff.then(|| fastforward::trajectory_key(project, pool, deploy, churn, seed));
-            if let Some(key) = key.as_deref() {
-                if let Some((stored, ckpt)) = fastforward::trajectory_lookup(key, horizon) {
-                    let store_key = (stored != horizon).then_some(key);
-                    return resume_campaign(project, pool, deploy, churn, horizon, store_key, ckpt);
+            let key = key.as_deref();
+            if let Some((stored, ckpt)) =
+                key.and_then(|k| fastforward::trajectory_lookup(k, horizon))
+            {
+                // Re-scheduling the pending events in pop order
+                // preserves same-instant FIFO ties.
+                let mut q = RadixQueue::new();
+                for (time, ev) in ckpt.pending {
+                    q.schedule(time, ev);
                 }
+                let run = Run {
+                    st: ckpt.state,
+                    q,
+                    now: SimTime::ZERO,
+                    project,
+                    pool,
+                    deploy,
+                    fctx: FaultCtx::new(churn),
+                };
+                return run.finish(horizon, key.filter(|_| stored != horizon));
             }
-            run_campaign_on(
-                project,
-                pool,
-                deploy,
-                churn,
-                seed,
-                horizon,
-                ff,
-                RadixQueue::new(),
-                key.as_deref(),
-            )
+            Run::start(project, pool, deploy, churn, seed, ff, RadixQueue::new())
+                .finish(horizon, key)
         }
-        SubstrateMode::HydratedReference => run_campaign_on(
-            project,
-            pool,
-            deploy,
-            churn,
-            seed,
-            horizon,
-            false,
-            EventQueue::new(),
-            None,
-        ),
+        SubstrateMode::HydratedReference => {
+            Run::start(project, pool, deploy, churn, seed, false, EventQueue::new())
+                .finish(horizon, None)
+        }
     }
 }
 
 /// Everything the campaign loop mutates, bundled so the loop exit can
 /// be snapshotted into a [`CampaignCheckpoint`] and resumed later.
-/// Loop-invariant derived constants (`vm_factor`, `ckpt_frac`,
-/// `eligible_rate`, the probe spec) ride along so a resume never
-/// recomputes them in a different order.
+/// Loop-invariant derived constants (`eligible_rate`, and the probe
+/// spec, whose segment solution sets every host's rate) ride along so a
+/// resume never recomputes them in a different order.
 #[derive(Debug, Clone)]
 pub(crate) struct SimState {
     hosts: Vec<HostSlot>,
     report: GridReport,
     hpool: HydrationPool,
     probe: ProbeSpec,
-    vm_factor: f64,
-    ckpt_frac: f64,
     eligible_rate: f64,
     validator: QuorumValidator,
     copies: Vec<TaskCopy>,
@@ -369,825 +384,968 @@ impl CampaignCheckpoint {
     }
 }
 
-/// Resume a campaign from a stored prefix snapshot: rebuild a radix
-/// queue from the drained pending events (re-scheduling in pop order
-/// preserves same-instant FIFO ties) and continue the identical loop.
-/// With `store_key` set, the loop exit is stored for that key as after
-/// a cold run.
-fn resume_campaign(
-    project: &ProjectConfig,
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    churn: &ChurnConfig,
-    horizon: SimTime,
-    store_key: Option<&str>,
-    ckpt: CampaignCheckpoint,
-) -> GridReport {
-    let fctx = FaultCtx::new(churn);
-    let CampaignCheckpoint {
-        state: mut st,
-        pending,
-    } = ckpt;
-    let mut q = RadixQueue::new();
-    for (time, ev) in pending {
-        q.schedule(time, ev);
-    }
-    let carried = run_loop(&mut st, &mut q, project, pool, deploy, &fctx, horizon);
-    store_and_finalize(st, q, carried, project, deploy, horizon, store_key)
+/// One campaign in flight: the mutable state, the event queue and the
+/// time of the event being handled, next to the borrowed configs. The
+/// context is generic over the event queue, so both substrates run
+/// literally the same handlers.
+struct Run<'a, Q: EventScheduler<Ev>> {
+    st: SimState,
+    q: Q,
+    /// Time of the event being handled.
+    now: SimTime,
+    project: &'a ProjectConfig,
+    pool: &'a PoolConfig,
+    deploy: &'a DeployConfig,
+    fctx: FaultCtx<'a>,
 }
 
-/// The campaign loop, generic over the event-queue implementation so
-/// both substrates execute literally the same host-stepping code.
-/// `lazy_queue` picks the work-queue materialization (batched
-/// substrate, fast-forward on). With `store_key` set (the same case),
-/// the loop-exit state is snapshotted into the trajectory cache before
-/// accounting.
-#[allow(clippy::too_many_arguments)]
-fn run_campaign_on<Q: EventScheduler<Ev>>(
-    project: &ProjectConfig,
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    churn: &ChurnConfig,
-    seed: u64,
-    horizon: SimTime,
-    lazy_queue: bool,
-    mut q: Q,
-    store_key: Option<&str>,
-) -> GridReport {
-    let fctx = FaultCtx::new(churn);
-    let mut st = init_state(
-        project, pool, deploy, churn, seed, lazy_queue, &fctx, &mut q,
-    );
-    let carried = run_loop(&mut st, &mut q, project, pool, deploy, &fctx, horizon);
-    store_and_finalize(st, q, carried, project, deploy, horizon, store_key)
-}
+impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
+    /// Build a cold campaign: the initial state and the staggered
+    /// power-ons, every random draw in the exact legacy order.
+    /// `lazy_queue` picks the work-queue materialization (batched
+    /// substrate, fast-forward on).
+    fn start(
+        project: &'a ProjectConfig,
+        pool: &'a PoolConfig,
+        deploy: &'a DeployConfig,
+        churn: &'a ChurnConfig,
+        seed: u64,
+        lazy_queue: bool,
+        mut q: Q,
+    ) -> Self {
+        let fctx = FaultCtx::new(churn);
+        let rng = SimRng::new(seed ^ 0x617d_517d);
+        // Per-archetype segment solve, identical on both substrates.
+        let solution = archetype::solve(deploy);
+        let guest_ram = match &deploy.mode {
+            ExecutionMode::Native => 0u64,
+            ExecutionMode::Vm(p) => p.guest_ram,
+        };
 
-/// Build the campaign's initial state and schedule the staggered
-/// power-ons — every random draw in the exact legacy order.
-#[allow(clippy::too_many_arguments)]
-fn init_state<Q: EventScheduler<Ev>>(
-    project: &ProjectConfig,
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    churn: &ChurnConfig,
-    seed: u64,
-    lazy_queue: bool,
-    fctx: &FaultCtx<'_>,
-    q: &mut Q,
-) -> SimState {
-    let rng = SimRng::new(seed ^ 0x617d_517d);
-    // Per-archetype segment solve, identical on both substrates.
-    let solution = archetype::solve(deploy);
-    let vm_factor = solution.vm_factor;
-    // Checkpoint overhead: fraction of host time spent writing state.
-    let ckpt_frac = solution.ckpt_frac;
-    let guest_ram = match &deploy.mode {
-        ExecutionMode::Native => 0u64,
-        ExecutionMode::Vm(p) => p.guest_ram,
-    };
+        let mut report = GridReport {
+            mode: deploy.mode.name().to_string(),
+            ..Default::default()
+        };
 
-    let mut report = GridReport {
-        mode: deploy.mode.name().to_string(),
-        ..Default::default()
-    };
+        // Lazy-hydration pool: full-fidelity probe systems materialized
+        // in windows around interesting events, cross-checking the
+        // analytic ledger. Probes observe only — they draw no host
+        // randomness.
+        let hpool = HydrationPool::new();
+        let probe = ProbeSpec {
+            key: archetype::solver_key(&deploy.mode),
+            mode: deploy.mode.clone(),
+            solution,
+        };
 
-    // Lazy-hydration pool: full-fidelity probe systems materialized in
-    // windows around interesting events, cross-checking the analytic
-    // ledger. Probes observe only — they draw no host randomness.
-    let hpool = HydrationPool::new();
-    let probe = ProbeSpec {
-        key: archetype::solver_key(&deploy.mode),
-        mode: deploy.mode.clone(),
-        solution,
-    };
-
-    // Build hosts, bucketing each into its archetype as we go (an
-    // index map instead of per-host label strings: a million-host pool
-    // collapses to a handful of archetypes).
-    let cclass = archetype::churn_class(churn);
-    let mut arch_index: DetMap<(u16, bool), u32> = DetMap::new();
-    let mut arch_keys: Vec<ArchetypeKey> = Vec::new();
-    let mut arch_counts: Vec<u32> = Vec::new();
-    let mut hosts: Vec<HostSlot> = Vec::new();
-    hosts.extend((0..pool.volunteers).map(|i| {
-        let mut hrng = rng.fork(1000 + i as u64);
-        // Fork the fault stream *before* the legacy draws; forking
-        // never advances `hrng`, so speed/RAM draws are unchanged.
-        let frng = hrng.fork(77);
-        let speed = hrng.range_f64(pool.speed_range.0, pool.speed_range.1);
-        // Saturating: a full-width `u64` RAM range or headroom must
-        // not wrap (every narrower input keeps its bits).
-        let ram = pool.ram_range.0
-            + hrng.next_below((pool.ram_range.1 - pool.ram_range.0).saturating_add(1));
-        let excluded = guest_ram > 0 && ram < guest_ram.saturating_add(deploy.host_headroom_bytes);
-        let band = archetype::speed_band(speed);
-        let arch = *arch_index.or_insert_with((band, !excluded), || {
-            arch_keys.push(ArchetypeKey::new(deploy, &cclass, band, !excluded));
-            arch_counts.push(0);
-            (arch_keys.len() - 1) as u32
-        });
-        arch_counts[arch as usize] += 1;
-        HostSlot {
-            speed,
-            excluded,
-            up: false,
-            life_gen: 0,
-            act_gen: 0,
-            has_image: deploy.image_bytes == 0,
-            activity: None,
-            act_started: SimTime::ZERO,
-            up_since: SimTime::ZERO,
-            uptime_total: 0.0,
-            rng: hrng,
-            frng,
-            paused: false,
-            refetch_pending: false,
-            backoff: BackoffState::new(&fctx.backoff),
-            archetype: arch,
-        }
-    }));
-    report.hosts_excluded_ram = hosts.iter().filter(|h| h.excluded).count() as u32;
-    // Canonical archetype census: sorted by key, not first-seen order.
-    let mut census: Vec<(ArchetypeKey, u32)> = arch_keys.into_iter().zip(arch_counts).collect();
-    census.sort();
-    report.archetype_hosts = census.into_iter().map(|(k, n)| (k.label(), n)).collect();
-    // Ideal-makespan denominator: the RAM-eligible pool's aggregate
-    // compute rate, as if always on and perfectly scheduled.
-    let eligible_rate: f64 = hosts
-        .iter()
-        .filter(|h| !h.excluded)
-        .map(|h| compute_rate(h, vm_factor, ckpt_frac))
-        .sum(); // simlint: allow(float-fold-order) -- host order is fixed; this sum order is part of the bit-identity contract
-
-    // Server state. The batched substrate issues fresh copies lazily
-    // (materialized when a host takes them); the reference substrate
-    // and the kill switch run the legacy eager setup. Copy indices are
-    // internal lookup keys, so the two schemes are report-identical.
-    let mut validator = QuorumValidator::new(project.workunits, project.quorum);
-    let mut copies = Vec::new();
-    let queue = if lazy_queue {
-        WorkQueue::lazy(project)
-    } else {
-        WorkQueue::eager(project, &mut copies, &mut validator)
-    };
-
-    // Stagger initial power-ons.
-    for (h, host) in hosts.iter_mut().enumerate() {
-        let delay = host.rng.exponential(pool.mean_downtime_secs / 4.0);
-        q.schedule(SimTime::from_secs_f64(delay), Ev::Up { h, gen: 0 });
-    }
-
-    // Hosts currently idle (up, eligible, unpaused, no activity) — kept
-    // in lockstep with host state so server pushes touch only the hosts
-    // that can take work instead of scanning the pool. Only the
-    // migration audits read the fastest-first order.
-    let idle = if deploy.migration.is_off() {
-        IdleSet::new(hosts.len())
-    } else {
-        let speeds: Vec<f64> = hosts.iter().map(|h| h.speed).collect();
-        IdleSet::with_speed_order(&speeds)
-    };
-
-    SimState {
-        hosts,
-        report,
-        hpool,
-        probe,
-        vm_factor,
-        ckpt_frac,
-        eligible_rate,
-        validator,
-        copies,
-        queue,
-        makespan: None,
-        idle,
-        inflight_xfers: 0,
-    }
-}
-
-/// Drive the event loop until the horizon, quorum completion, or queue
-/// exhaustion. Returns the popped-but-unprocessed event when a break
-/// check fired (it belongs at the head of any stored trajectory).
-fn run_loop<Q: EventScheduler<Ev>>(
-    st: &mut SimState,
-    q: &mut Q,
-    project: &ProjectConfig,
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    fctx: &FaultCtx<'_>,
-    horizon: SimTime,
-) -> Option<(SimTime, Ev)> {
-    let vm_factor = st.vm_factor;
-    let ckpt_frac = st.ckpt_frac;
-    let SimState {
-        hosts,
-        report,
-        hpool,
-        probe,
-        validator,
-        copies,
-        queue,
-        makespan,
-        idle,
-        inflight_xfers,
-        ..
-    } = st;
-    // --- helpers as closures are awkward with borrows; use a macro-free
-    // imperative loop with inline logic. ---
-    #[allow(clippy::needless_range_loop)] // hosts indexed by stable id
-    while let Some((now, ev)) = q.pop() {
-        if now > horizon || (makespan.is_some() && validator.validated_count() >= project.workunits)
-        {
-            return Some((now, ev));
-        }
-        match ev {
-            Ev::Up { h, gen } => {
-                if gen != hosts[h].life_gen || hosts[h].excluded {
-                    continue;
-                }
-                report.fault_transitions += 1;
-                hosts[h].up = true;
-                hosts[h].paused = false;
-                hosts[h].up_since = now;
-                // `sample_span` with shape 1 *is* the legacy exponential
-                // call, and a unit uptime factor is an exact multiply.
-                let span = faults::sample_span(
-                    &mut hosts[h].rng,
-                    fctx.churn.availability_shape,
-                    fctx.span_gamma,
-                    pool.mean_uptime_secs * fctx.churn.uptime_factor,
-                );
-                hosts[h].life_gen += 1;
-                let gen = hosts[h].life_gen;
-                q.schedule(
-                    now.saturating_add(SimDuration::from_secs_f64(span)),
-                    Ev::Down { h, gen },
-                );
-                // Arm this up-span's fault processes (never under zero
-                // churn: the event stream must stay byte-identical).
-                if fctx.churn.owner_arrival_mean_secs > 0.0 {
-                    let gap = hosts[h]
-                        .frng
-                        .exponential(fctx.churn.owner_arrival_mean_secs);
-                    q.schedule(
-                        now.saturating_add(SimDuration::from_secs_f64(gap)),
-                        Ev::OwnerArrive { h, gen },
-                    );
-                }
-                if fctx.churn.vm_kill_mean_secs > 0.0 {
-                    let wait = hosts[h].frng.exponential(fctx.churn.vm_kill_mean_secs);
-                    q.schedule(
-                        now.saturating_add(SimDuration::from_secs_f64(wait)),
-                        Ev::VmKill { h, gen },
-                    );
-                }
-                // Resume or acquire work.
-                start_next_activity(
-                    h, now, hosts, queue, copies, validator, project, pool, deploy, q, vm_factor,
-                    ckpt_frac, fctx, report,
-                );
-                sync_idle(idle, hosts, h);
+        // Build hosts, counting each into its archetype as we go (keyed
+        // by speed band and RAM eligibility: a million-host pool
+        // collapses to a handful of archetypes).
+        let mut arch_counts: DetMap<(u16, bool), u32> = DetMap::new();
+        let mut hosts: Vec<HostSlot> = Vec::new();
+        hosts.extend((0..pool.volunteers).map(|i| {
+            let mut hrng = rng.fork(1000 + i as u64);
+            // Fork the fault stream *before* the legacy draws; forking
+            // never advances `hrng`, so speed/RAM draws are unchanged.
+            let frng = hrng.fork(77);
+            let speed = hrng.range_f64(pool.speed_range.0, pool.speed_range.1);
+            // Saturating: a full-width `u64` RAM range or headroom must
+            // not wrap (every narrower input keeps its bits).
+            let ram = pool.ram_range.0
+                + hrng.next_below((pool.ram_range.1 - pool.ram_range.0).saturating_add(1));
+            let excluded =
+                guest_ram > 0 && ram < guest_ram.saturating_add(deploy.host_headroom_bytes);
+            *arch_counts.or_insert_with((archetype::speed_band(speed), !excluded), || 0) += 1;
+            HostSlot {
+                speed,
+                excluded,
+                up: false,
+                life_gen: 0,
+                act_gen: 0,
+                has_image: deploy.image_bytes == 0,
+                activity: None,
+                act_started: SimTime::ZERO,
+                up_since: SimTime::ZERO,
+                uptime_total: 0.0,
+                rng: hrng,
+                frng,
+                paused: false,
+                refetch_pending: false,
+                backoff: BackoffState::new(&fctx.backoff),
             }
-            Ev::Down { h, gen } => {
-                if gen != hosts[h].life_gen {
-                    continue;
-                }
-                // A failure mid-compute is an interesting event: hydrate
-                // a probe window before the ledger absorbs it.
-                if matches!(hosts[h].activity, Some(Activity::Compute { .. })) {
-                    hpool.window(probe, archetype::speed_band(hosts[h].speed));
-                }
-                report.fault_transitions += 1;
-                hosts[h].up = false;
-                hosts[h].uptime_total += now.since(hosts[h].up_since).as_secs_f64();
-                // Interrupt the activity, preserving resumable progress.
-                // A paused host accrued everything at pause time.
-                if !hosts[h].paused {
-                    accrue_activity(
-                        h, now, hosts, copies, pool, deploy, vm_factor, ckpt_frac, false, report,
-                    );
-                }
-                hosts[h].paused = false;
-                hosts[h].act_gen += 1; // cancel any pending ActDone
-                if deploy.migrate_on_churn {
-                    if let Some(Activity::Compute {
-                        task,
-                        remaining_ref,
-                        ..
-                    }) = hosts[h].activity
-                    {
-                        // Ship the checkpointed state back through the
-                        // server; any volunteer may pick it up. Resumes
-                        // jump the queue: finishing started work beats
-                        // starting fresh copies (BOINC's deadline-driven
-                        // scheduling has the same effect).
-                        hosts[h].activity = None;
-                        queue.push_front(Work::Resume {
-                            copy: task,
-                            remaining_ref,
-                        });
-                        report.migrations += 1;
-                        kick_idle_hosts(
-                            now, idle, hosts, queue, copies, validator, project, pool, deploy, q,
-                            vm_factor, ckpt_frac, fctx, report,
-                        );
-                    }
-                }
-                if hosts[h].rng.chance(pool.permanent_failure_prob) {
-                    // The volunteer never returns; its task (if any) is
-                    // stranded until the server's deadline reissues it.
-                    hosts[h].excluded = true;
-                    sync_idle(idle, hosts, h);
-                    continue;
-                }
-                let span = faults::sample_span(
-                    &mut hosts[h].rng,
-                    fctx.churn.availability_shape,
-                    fctx.span_gamma,
-                    pool.mean_downtime_secs,
-                );
-                hosts[h].life_gen += 1;
-                let gen = hosts[h].life_gen;
-                q.schedule(
-                    now.saturating_add(SimDuration::from_secs_f64(span)),
-                    Ev::Up { h, gen },
-                );
-                sync_idle(idle, hosts, h);
+        }));
+        report.hosts_excluded_ram = hosts.iter().filter(|h| h.excluded).count() as u32;
+        // Canonical archetype census: sorted by key.
+        let cclass = archetype::churn_class(churn);
+        let mut census: Vec<(ArchetypeKey, u32)> = arch_counts
+            .iter()
+            .map(|(&(band, ok), &n)| (ArchetypeKey::new(deploy, &cclass, band, ok), n))
+            .collect();
+        census.sort();
+        report.archetype_hosts = census.into_iter().map(|(k, n)| (k.label(), n)).collect();
+        // Ideal-makespan denominator: the RAM-eligible pool's aggregate
+        // compute rate, as if always on and perfectly scheduled.
+        let eligible_rate: f64 = hosts
+            .iter()
+            .filter(|h| !h.excluded)
+            .map(|h| solution.rate(h.speed))
+            .sum(); // simlint: allow(float-fold-order) -- host order is fixed; this sum order is part of the bit-identity contract
+
+        // Server state. The batched substrate issues fresh copies lazily
+        // (materialized when a host takes them); the reference substrate
+        // and the kill switch run the legacy eager setup. Copy indices
+        // are internal lookup keys, so the two schemes are
+        // report-identical.
+        let mut copies = Vec::new();
+        let queue = if lazy_queue {
+            WorkQueue::lazy(project)
+        } else {
+            WorkQueue::eager(project, &mut copies)
+        };
+
+        // Stagger initial power-ons.
+        for (h, host) in hosts.iter_mut().enumerate() {
+            let delay = host.rng.exponential(pool.mean_downtime_secs / 4.0);
+            q.schedule(SimTime::from_secs_f64(delay), Ev::Up { h, gen: 0 });
+        }
+
+        // Hosts currently idle — kept in lockstep with host state so
+        // server pushes touch only the hosts that can take work instead
+        // of scanning the pool. Only the migration audits read the
+        // fastest-first order.
+        let idle = if deploy.migration.is_off() {
+            IdleSet::new(hosts.len())
+        } else {
+            let speeds: Vec<f64> = hosts.iter().map(|h| h.speed).collect();
+            IdleSet::with_speed_order(&speeds)
+        };
+
+        Run {
+            st: SimState {
+                hosts,
+                report,
+                hpool,
+                probe,
+                eligible_rate,
+                validator: QuorumValidator::new(project.workunits, project.quorum),
+                copies,
+                queue,
+                makespan: None,
+                idle,
+                inflight_xfers: 0,
+            },
+            q,
+            now: SimTime::ZERO,
+            project,
+            pool,
+            deploy,
+            fctx,
+        }
+    }
+
+    /// Run the loop to its exit, snapshot the loop-exit state into the
+    /// trajectory cache when `store_key` is set, then fold the final
+    /// accounting. Cold and resumed runs both end here. The snapshot is
+    /// taken *before* accounting so a resumed run re-derives the final
+    /// report through the identical code path.
+    fn finish(mut self, horizon: SimTime, store_key: Option<&str>) -> GridReport {
+        let carried = self.run_loop(horizon);
+        if let Some(key) = store_key {
+            // Drain the queue in pop order: re-scheduling this sequence
+            // into a fresh queue preserves same-instant FIFO ties, so a
+            // resumed run pops the identical event stream. The carried
+            // event (popped by the break check, never processed) leads.
+            let mut pending: Vec<(SimTime, Ev)> = carried.into_iter().collect();
+            while let Some(entry) = self.q.pop() {
+                pending.push(entry);
             }
-            Ev::ActDone { h, gen } => {
-                if gen != hosts[h].act_gen || !hosts[h].up {
-                    continue;
-                }
-                // Finish the current activity.
-                let Some(act) = hosts[h].activity.take() else {
-                    continue;
-                };
-                match act {
-                    Activity::ImageDl { .. } => {
-                        hosts[h].has_image = true;
-                        report.image_transfer_secs += now.since(hosts[h].act_started).as_secs_f64();
-                    }
-                    Activity::StateDl {
-                        task,
-                        remaining_ref,
-                        ..
-                    } => {
-                        hosts[h].activity = Some(Activity::Compute {
-                            task,
-                            remaining_ref,
-                            progress_ref: project.wu_ref_secs - remaining_ref,
-                        });
-                        hosts[h].act_started = now;
-                        let rate = compute_rate(&hosts[h], vm_factor, ckpt_frac);
-                        hosts[h].act_gen += 1;
-                        let gen = hosts[h].act_gen;
-                        q.schedule(
-                            now.saturating_add(SimDuration::from_secs_f64(remaining_ref / rate)),
-                            Ev::ActDone { h, gen },
-                        );
-                        arm_evac_check(h, now, hosts, deploy, fctx, q);
-                        continue;
-                    }
-                    Activity::InputDl { task, .. } => {
-                        let wu = copies[task].wu;
-                        let remaining_ref = project.wu_ref_secs;
-                        hosts[h].activity = Some(Activity::Compute {
-                            task,
-                            remaining_ref,
-                            progress_ref: 0.0,
-                        });
-                        hosts[h].act_started = now;
-                        let rate = compute_rate(&hosts[h], vm_factor, ckpt_frac);
-                        hosts[h].act_gen += 1;
-                        let gen = hosts[h].act_gen;
-                        q.schedule(
-                            now.saturating_add(SimDuration::from_secs_f64(remaining_ref / rate)),
-                            Ev::ActDone { h, gen },
-                        );
-                        arm_evac_check(h, now, hosts, deploy, fctx, q);
-                        let _ = wu;
-                        continue;
-                    }
-                    Activity::Compute {
-                        task,
-                        remaining_ref,
-                        progress_ref,
-                    } => {
-                        // Task completion: hydrate a probe window to
-                        // check the ledger's rate against a real system.
-                        hpool.window(probe, archetype::speed_band(hosts[h].speed));
-                        // Account the CPU time of the final stretch.
-                        let elapsed = now.since(hosts[h].act_started).as_secs_f64();
-                        report.cpu_secs_spent += elapsed;
-                        copies[task].cpu_spent += elapsed;
-                        let _ = (remaining_ref, progress_ref);
-                        hosts[h].activity = Some(Activity::Upload {
-                            remaining: project.wu_output_bytes as f64,
-                            task,
-                        });
-                        hosts[h].act_started = now;
-                        hosts[h].act_gen += 1;
-                        let gen = hosts[h].act_gen;
-                        q.schedule(
-                            now.saturating_add(SimDuration::from_secs_f64(
-                                project.wu_output_bytes as f64 / pool.up_bw,
-                            )),
-                            Ev::ActDone { h, gen },
-                        );
-                        continue;
-                    }
-                    Activity::Upload { task, .. } => {
-                        // Report the result to the server.
-                        copies[task].returned = true;
-                        report.results_returned += 1;
-                        let wu_idx = copies[task].wu;
-                        let good = !hosts[h].rng.chance(project.error_rate);
-                        use crate::checkpoint::RecordOutcome;
-                        match validator.record(wu_idx, good, copies[task].cpu_spent) {
-                            RecordOutcome::NewlyValidated => {
-                                // A quorum decision is an interesting
-                                // event: hydrate a probe window.
-                                hpool.window(probe, archetype::speed_band(hosts[h].speed));
-                                if copies[task].rescued {
-                                    report.rescue_wins += 1;
-                                }
-                                if validator.validated_count() >= project.workunits {
-                                    *makespan = Some(now);
-                                }
-                            }
-                            RecordOutcome::Rejected => {
-                                report.bad_results += 1;
-                                // Replace the bad copy.
-                                copies.push(TaskCopy::new(wu_idx));
-                                queue.push_back(Work::Fresh(copies.len() - 1));
-                                validator.note_issued(wu_idx);
-                                // The reporting host is between
-                                // activities right now — it competes
-                                // for the replacement copy in id order
-                                // like any other idle host.
-                                sync_idle(idle, hosts, h);
-                                kick_idle_hosts(
-                                    now, idle, hosts, queue, copies, validator, project, pool,
-                                    deploy, q, vm_factor, ckpt_frac, fctx, report,
-                                );
-                            }
-                            RecordOutcome::Counted | RecordOutcome::Late => {}
+            fastforward::trajectory_store(
+                key,
+                horizon,
+                CampaignCheckpoint {
+                    state: self.st.clone(),
+                    pending,
+                },
+            );
+        }
+        finalize(self.st, self.project, self.deploy, horizon)
+    }
+
+    /// Drive the event loop until the horizon, quorum completion, or
+    /// queue exhaustion. Returns the popped-but-unprocessed event when a
+    /// break check fired (it belongs at the head of any stored
+    /// trajectory).
+    fn run_loop(&mut self, horizon: SimTime) -> Option<(SimTime, Ev)> {
+        while let Some((now, ev)) = self.q.pop() {
+            // The makespan is set when the last work unit validates.
+            if now > horizon || self.st.makespan.is_some() {
+                return Some((now, ev));
+            }
+            self.now = now;
+            match ev {
+                Ev::Up { h, gen } => self.up(h, gen),
+                Ev::Down { h, gen } => self.down(h, gen),
+                Ev::ActDone { h, gen } => self.act_done(h, gen),
+                Ev::Deadline { copy } => self.deadline(copy),
+                Ev::OwnerArrive { h, gen } => self.owner_arrive(h, gen),
+                Ev::OwnerLeave { h, gen } => self.owner_leave(h, gen),
+                Ev::VmKill { h, gen } => self.vm_kill(h, gen),
+                Ev::Refetch { h } => self.refetch(h),
+                Ev::RescueCheck { copy, deadline } => self.rescue_check(copy, deadline),
+                Ev::EvacCheck { h, gen } => self.evac_check(h, gen),
+                Ev::XferDone {
+                    copy,
+                    remaining_ref,
+                } => self.xfer_done(copy, remaining_ref),
+            }
+        }
+        None
+    }
+
+    // -----------------------------------------------------------------
+    // Event handlers, one per `Ev` kind.
+    // -----------------------------------------------------------------
+
+    fn up(&mut self, h: usize, gen: u64) {
+        let host = &mut self.st.hosts[h];
+        if gen != host.life_gen || host.excluded {
+            return;
+        }
+        host.up = true;
+        host.paused = false;
+        host.up_since = self.now;
+        self.st.report.fault_transitions += 1;
+        // `sample_span` with shape 1 *is* the legacy exponential call,
+        // and a unit uptime factor is an exact multiply.
+        let gen = self.next_span(
+            h,
+            self.pool.mean_uptime_secs * self.fctx.churn.uptime_factor,
+        );
+        // Arm this up-span's fault processes (never under zero churn:
+        // the event stream must stay byte-identical).
+        let churn = self.fctx.churn;
+        self.arm_fault(h, churn.owner_arrival_mean_secs, Ev::OwnerArrive { h, gen });
+        self.arm_fault(h, churn.vm_kill_mean_secs, Ev::VmKill { h, gen });
+        // Resume or acquire work.
+        self.next_activity(h);
+        self.sync_idle(h);
+    }
+
+    fn down(&mut self, h: usize, gen: u64) {
+        if gen != self.st.hosts[h].life_gen {
+            return;
+        }
+        // A failure mid-compute is an interesting event: hydrate a probe
+        // window before the ledger absorbs it.
+        if matches!(self.st.hosts[h].activity, Some(Activity::Compute { .. })) {
+            self.window(h);
+        }
+        self.st.report.fault_transitions += 1;
+        let host = &mut self.st.hosts[h];
+        host.up = false;
+        host.uptime_total += self.now.since(host.up_since).as_secs_f64();
+        // Interrupt the activity, preserving resumable progress. A
+        // paused host accrued everything at pause time.
+        if !host.paused {
+            self.accrue(h, false);
+        }
+        let host = &mut self.st.hosts[h];
+        host.paused = false;
+        host.act_gen += 1; // cancel any pending ActDone
+        if self.deploy.migrate_on_churn {
+            if let Some(Activity::Compute {
+                task,
+                remaining_ref,
+                ..
+            }) = host.activity
+            {
+                // Ship the checkpointed state back through the server;
+                // any volunteer may pick it up.
+                host.activity = None;
+                self.st.report.migrations += 1;
+                self.resume_elsewhere(task, remaining_ref);
+            }
+        }
+        let gone = self.st.hosts[h]
+            .rng
+            .chance(self.pool.permanent_failure_prob);
+        if gone {
+            // The volunteer never returns; its task (if any) is stranded
+            // until the server's deadline reissues it.
+            self.st.hosts[h].excluded = true;
+        } else {
+            self.next_span(h, self.pool.mean_downtime_secs);
+        }
+        self.sync_idle(h);
+    }
+
+    fn act_done(&mut self, h: usize, gen: u64) {
+        let host = &mut self.st.hosts[h];
+        if gen != host.act_gen || !host.up {
+            return;
+        }
+        // Finish the current activity.
+        let Some(act) = host.activity.take() else {
+            return;
+        };
+        match act {
+            Activity::ImageDl { .. } => {
+                host.has_image = true;
+                self.st.report.image_transfer_secs +=
+                    self.now.since(host.act_started).as_secs_f64();
+            }
+            Activity::InputDl { task, .. } => {
+                return self.compute(h, task, self.project.wu_ref_secs, 0.0);
+            }
+            Activity::StateDl {
+                task,
+                remaining_ref,
+                ..
+            } => {
+                let progress_ref = self.project.wu_ref_secs - remaining_ref;
+                return self.compute(h, task, remaining_ref, progress_ref);
+            }
+            Activity::Compute { task, .. } => {
+                // Task completion: hydrate a probe window to check the
+                // ledger's rate against a real system.
+                self.window(h);
+                // Account the CPU time of the final stretch.
+                let elapsed = self.now.since(self.st.hosts[h].act_started).as_secs_f64();
+                self.st.report.cpu_secs_spent += elapsed;
+                self.st.copies[task].cpu_spent += elapsed;
+                let remaining = self.project.wu_output_bytes as f64;
+                self.st.hosts[h].activity = Some(Activity::Upload { remaining, task });
+                return self.begin(h, remaining / self.pool.up_bw);
+            }
+            Activity::Upload { task, .. } => {
+                // Report the result to the server.
+                let good = !host.rng.chance(self.project.error_rate);
+                let st = &mut self.st;
+                st.copies[task].returned = true;
+                st.report.results_returned += 1;
+                let wu = st.copies[task].wu;
+                match st.validator.record(wu, good, st.copies[task].cpu_spent) {
+                    RecordOutcome::NewlyValidated => {
+                        // A quorum decision is an interesting event:
+                        // hydrate a probe window.
+                        self.window(h);
+                        if self.st.copies[task].rescued {
+                            self.st.report.rescue_wins += 1;
+                        }
+                        if self.st.validator.validated_count() >= self.project.workunits {
+                            self.st.makespan = Some(self.now);
                         }
                     }
-                }
-                // Acquire the next piece of work.
-                start_next_activity(
-                    h, now, hosts, queue, copies, validator, project, pool, deploy, q, vm_factor,
-                    ckpt_frac, fctx, report,
-                );
-                sync_idle(idle, hosts, h);
-            }
-            Ev::Deadline { copy } => {
-                if !copies[copy].returned && !validator.is_validated(copies[copy].wu) {
-                    let wu = copies[copy].wu;
-                    copies.push(TaskCopy::new(wu));
-                    queue.push_back(Work::Fresh(copies.len() - 1));
-                    validator.note_issued(wu);
-                    report.reissues += 1;
-                    kick_idle_hosts(
-                        now, idle, hosts, queue, copies, validator, project, pool, deploy, q,
-                        vm_factor, ckpt_frac, fctx, report,
-                    );
-                }
-            }
-            Ev::OwnerArrive { h, gen } => {
-                if gen != hosts[h].life_gen || !hosts[h].up || hosts[h].excluded {
-                    continue;
-                }
-                // An owner preempting live work is an interesting event.
-                if !hosts[h].paused && hosts[h].activity.is_some() {
-                    hpool.window(probe, archetype::speed_band(hosts[h].speed));
-                }
-                report.owner_preemptions += 1;
-                report.fault_transitions += 1;
-                let kills = hosts[h].frng.chance(fctx.churn.preempt_kill_prob);
-                if !hosts[h].paused {
-                    if hosts[h].activity.is_some() {
-                        // VM sandboxes suspend in place (durable .vmss-style
-                        // state: nothing is lost); native apps are preempted
-                        // and roll back to their last checkpoint.
-                        let preserve = matches!(deploy.mode, ExecutionMode::Vm(_));
-                        accrue_activity(
-                            h, now, hosts, copies, pool, deploy, vm_factor, ckpt_frac, preserve,
-                            report,
-                        );
-                        hosts[h].act_gen += 1; // cancel the pending ActDone
+                    RecordOutcome::Rejected => {
+                        self.st.report.bad_results += 1;
+                        // The reporting host is between activities right
+                        // now — it competes for the replacement copy in
+                        // id order like any other idle host.
+                        self.sync_idle(h);
+                        self.reissue(wu);
                     }
-                    hosts[h].paused = true;
-                }
-                if kills {
-                    kill_task(
-                        h, now, hosts, copies, pool, deploy, vm_factor, ckpt_frac, report,
-                    );
-                }
-                let session = hosts[h]
-                    .frng
-                    .exponential(fctx.churn.owner_session_mean_secs);
-                q.schedule(
-                    now.saturating_add(SimDuration::from_secs_f64(session)),
-                    Ev::OwnerLeave { h, gen },
-                );
-                sync_idle(idle, hosts, h);
-            }
-            Ev::OwnerLeave { h, gen } => {
-                if gen != hosts[h].life_gen || !hosts[h].up || hosts[h].excluded {
-                    continue;
-                }
-                report.fault_transitions += 1;
-                hosts[h].paused = false;
-                // Resume the preempted activity (or fetch fresh work).
-                start_next_activity(
-                    h, now, hosts, queue, copies, validator, project, pool, deploy, q, vm_factor,
-                    ckpt_frac, fctx, report,
-                );
-                let gap = hosts[h]
-                    .frng
-                    .exponential(fctx.churn.owner_arrival_mean_secs);
-                q.schedule(
-                    now.saturating_add(SimDuration::from_secs_f64(gap)),
-                    Ev::OwnerArrive { h, gen },
-                );
-                sync_idle(idle, hosts, h);
-            }
-            Ev::VmKill { h, gen } => {
-                if gen != hosts[h].life_gen || !hosts[h].up || hosts[h].excluded {
-                    continue;
-                }
-                report.fault_transitions += 1;
-                if hosts[h].activity.is_some() {
-                    // A sandbox kill with live work is an interesting
-                    // event.
-                    hpool.window(probe, archetype::speed_band(hosts[h].speed));
-                    kill_task(
-                        h, now, hosts, copies, pool, deploy, vm_factor, ckpt_frac, report,
-                    );
-                    // Restart from the rolled-back state (no-op while the
-                    // owner holds the machine: OwnerLeave resumes it).
-                    start_next_activity(
-                        h, now, hosts, queue, copies, validator, project, pool, deploy, q,
-                        vm_factor, ckpt_frac, fctx, report,
-                    );
-                }
-                let wait = hosts[h].frng.exponential(fctx.churn.vm_kill_mean_secs);
-                q.schedule(
-                    now.saturating_add(SimDuration::from_secs_f64(wait)),
-                    Ev::VmKill { h, gen },
-                );
-                sync_idle(idle, hosts, h);
-            }
-            Ev::Refetch { h } => {
-                hosts[h].refetch_pending = false;
-                if !hosts[h].up
-                    || hosts[h].excluded
-                    || hosts[h].paused
-                    || hosts[h].activity.is_some()
-                {
-                    continue;
-                }
-                start_next_activity(
-                    h, now, hosts, queue, copies, validator, project, pool, deploy, q, vm_factor,
-                    ckpt_frac, fctx, report,
-                );
-                sync_idle(idle, hosts, h);
-            }
-            Ev::RescueCheck { copy, deadline } => {
-                if copies[copy].returned || validator.is_validated(copies[copy].wu) {
-                    continue;
-                }
-                // The copy's holder is the host that last took it, if
-                // that host is still computing it. Only a computing
-                // holder has checkpointed state worth exporting; a copy
-                // still in the queue or mid-download is left to the
-                // deadline.
-                let holder = copies[copy].holder as usize;
-                let found = hosts
-                    .get(holder)
-                    .is_some_and(|s| s.computes(copy))
-                    .then_some(holder);
-                debug_assert_eq!(
-                    found,
-                    hosts.iter().position(|s| s.computes(copy)),
-                    "recorded holder of copy {copy} disagrees with the pool scan",
-                );
-                let Some(holder) = found else {
-                    continue;
-                };
-                let stranded = !hosts[holder].up || hosts[holder].paused;
-                if !stranded {
-                    // The holder is live: rescue only a projected miss,
-                    // and only when a strictly faster host sits idle.
-                    let rate = compute_rate(&hosts[holder], vm_factor, ckpt_frac);
-                    let Some(Activity::Compute { remaining_ref, .. }) = hosts[holder].activity
-                    else {
-                        continue;
-                    };
-                    let elapsed = now.since(hosts[holder].act_started).as_secs_f64();
-                    let live_remaining = remaining_ref - elapsed * rate;
-                    let projected = now.saturating_add(SimDuration::from_secs_f64(
-                        (live_remaining / rate).max(0.0),
-                    ));
-                    if projected <= deadline {
-                        continue;
-                    }
-                    let holder_speed = hosts[holder].speed;
-                    let faster = idle
-                        .fastest_first()
-                        .next()
-                        .is_some_and(|f| hosts[f].speed > holder_speed);
-                    debug_assert_eq!(
-                        faster,
-                        idle.iter().any(|i| hosts[i].speed > holder_speed),
-                        "fastest idle host disagrees with the linear scan",
-                    );
-                    if !faster {
-                        continue;
-                    }
-                }
-                // A straggler preempted live is an interesting event.
-                if !stranded {
-                    hpool.window(probe, archetype::speed_band(hosts[holder].speed));
-                }
-                if export_checkpoint(
-                    holder,
-                    now,
-                    hosts,
-                    copies,
-                    pool,
-                    deploy,
-                    vm_factor,
-                    ckpt_frac,
-                    !stranded,
-                    inflight_xfers,
-                    report,
-                    q,
-                ) {
-                    copies[copy].rescued = true;
-                    report.migrations += 1;
-                    if !stranded {
-                        // The freed host competes for other work.
-                        start_next_activity(
-                            holder, now, hosts, queue, copies, validator, project, pool, deploy, q,
-                            vm_factor, ckpt_frac, fctx, report,
-                        );
-                    }
-                    sync_idle(idle, hosts, holder);
+                    RecordOutcome::Counted | RecordOutcome::Late => {}
                 }
             }
-            Ev::EvacCheck { h, gen } => {
-                if gen != hosts[h].act_gen || !hosts[h].up || hosts[h].paused {
-                    continue;
-                }
-                let Some(Activity::Compute {
-                    remaining_ref,
-                    progress_ref,
-                    ..
-                }) = hosts[h].activity
-                else {
-                    continue;
-                };
-                let rate = compute_rate(&hosts[h], vm_factor, ckpt_frac);
-                let elapsed = now.since(hosts[h].act_started).as_secs_f64();
-                let live_remaining = remaining_ref - elapsed * rate;
-                if live_remaining <= 0.0 {
-                    continue; // finishing imminently; let ActDone land
-                }
-                // Evacuating pays a transfer and a re-download; it only
-                // ever wins when at least one durable quantum exists.
-                let quantum = deploy.checkpoint_interval.as_secs_f64() * rate;
-                let durable =
-                    durable_progress(progress_ref + elapsed * rate, progress_ref, quantum);
-                let hazard = migration::interruption_hazard(
-                    fctx.churn,
-                    fctx.span_gamma,
-                    pool.mean_uptime_secs,
-                    now.since(hosts[h].up_since).as_secs_f64(),
-                    live_remaining / rate,
-                );
-                if durable <= 0.0 || hazard < deploy.migration.hazard_threshold {
-                    // Re-arm for the next checkpoint quantum; the
-                    // act_gen guard retires the chain on interruption.
-                    q.schedule(
-                        now.saturating_add(deploy.checkpoint_interval),
-                        Ev::EvacCheck { h, gen },
-                    );
-                    continue;
-                }
-                // Evacuate only toward predicted safety: an idle host at
-                // least as fast whose own hazard over the same work
-                // window sits below the threshold. Without such a home
-                // the export would burn NIC time to move the task
-                // between equally doomed hosts — at extreme churn nobody
-                // qualifies and the policy holds still.
-                let home = SafeHomeQuery {
-                    fctx,
-                    mean_uptime_secs: pool.mean_uptime_secs,
-                    threshold: deploy.migration.hazard_threshold,
-                    now,
-                    holder_speed: hosts[h].speed,
-                    live_remaining,
-                    vm_factor,
-                    ckpt_frac,
-                };
-                let safe_home = home.fastest_first(idle, hosts);
-                debug_assert_eq!(
-                    safe_home,
-                    home.linear(idle, hosts),
-                    "fastest-first safe-home walk disagrees with the linear scan",
-                );
-                if !safe_home {
-                    q.schedule(
-                        now.saturating_add(deploy.checkpoint_interval),
-                        Ev::EvacCheck { h, gen },
-                    );
-                    continue;
-                }
-                hpool.window(probe, archetype::speed_band(hosts[h].speed));
-                if export_checkpoint(
-                    h,
-                    now,
-                    hosts,
-                    copies,
-                    pool,
-                    deploy,
-                    vm_factor,
-                    ckpt_frac,
-                    true,
-                    inflight_xfers,
-                    report,
-                    q,
-                ) {
-                    report.evacuations += 1;
-                    start_next_activity(
-                        h, now, hosts, queue, copies, validator, project, pool, deploy, q,
-                        vm_factor, ckpt_frac, fctx, report,
-                    );
-                    sync_idle(idle, hosts, h);
+        }
+        // Acquire the next piece of work.
+        self.next_activity(h);
+        self.sync_idle(h);
+    }
+
+    fn deadline(&mut self, copy: usize) {
+        if !self.settled(copy) {
+            self.st.report.reissues += 1;
+            self.reissue(self.st.copies[copy].wu);
+        }
+    }
+
+    fn owner_arrive(&mut self, h: usize, gen: u64) {
+        let host = &self.st.hosts[h];
+        if !host.live(gen) {
+            return;
+        }
+        // An owner preempting live work is an interesting event.
+        if !host.paused && host.activity.is_some() {
+            self.window(h);
+        }
+        self.st.report.owner_preemptions += 1;
+        self.st.report.fault_transitions += 1;
+        let host = &mut self.st.hosts[h];
+        let kills = host.frng.chance(self.fctx.churn.preempt_kill_prob);
+        if !host.paused {
+            if host.activity.is_some() {
+                // VM sandboxes suspend in place (durable .vmss-style
+                // state: nothing is lost); native apps are preempted and
+                // roll back to their last checkpoint.
+                self.accrue(h, matches!(self.deploy.mode, ExecutionMode::Vm(_)));
+                self.st.hosts[h].act_gen += 1; // cancel the pending ActDone
+            }
+            self.st.hosts[h].paused = true;
+        }
+        if kills {
+            self.kill(h);
+        }
+        let session = self.st.hosts[h]
+            .frng
+            .exponential(self.fctx.churn.owner_session_mean_secs);
+        self.after_secs(session, Ev::OwnerLeave { h, gen });
+        self.sync_idle(h);
+    }
+
+    fn owner_leave(&mut self, h: usize, gen: u64) {
+        if !self.st.hosts[h].live(gen) {
+            return;
+        }
+        self.st.report.fault_transitions += 1;
+        self.st.hosts[h].paused = false;
+        // Resume the preempted activity (or fetch fresh work), then arm
+        // the owner's next arrival.
+        self.next_activity(h);
+        let mean = self.fctx.churn.owner_arrival_mean_secs;
+        self.arm_fault(h, mean, Ev::OwnerArrive { h, gen });
+        self.sync_idle(h);
+    }
+
+    fn vm_kill(&mut self, h: usize, gen: u64) {
+        if !self.st.hosts[h].live(gen) {
+            return;
+        }
+        self.st.report.fault_transitions += 1;
+        if self.st.hosts[h].activity.is_some() {
+            // A sandbox kill with live work is an interesting event.
+            self.window(h);
+            self.kill(h);
+            // Restart from the rolled-back state (no-op while the owner
+            // holds the machine: OwnerLeave resumes it).
+            self.next_activity(h);
+        }
+        let mean = self.fctx.churn.vm_kill_mean_secs;
+        self.arm_fault(h, mean, Ev::VmKill { h, gen });
+        self.sync_idle(h);
+    }
+
+    fn refetch(&mut self, h: usize) {
+        self.st.hosts[h].refetch_pending = false;
+        if self.st.hosts[h].idle() {
+            self.next_activity(h);
+            self.sync_idle(h);
+        }
+    }
+
+    fn rescue_check(&mut self, copy: usize, deadline: SimTime) {
+        if self.settled(copy) {
+            return;
+        }
+        // The copy's holder is the host that last took it, if that host
+        // is still computing it. Only a computing holder has
+        // checkpointed state worth exporting; a copy still in the queue
+        // or mid-download is left to the deadline.
+        let hosts = &self.st.hosts;
+        let holder = self.st.copies[copy].holder as usize;
+        let found = hosts
+            .get(holder)
+            .is_some_and(|s| s.computes(copy))
+            .then_some(holder);
+        debug_assert_eq!(
+            found,
+            hosts.iter().position(|s| s.computes(copy)),
+            "recorded holder of copy {copy} disagrees with the pool scan",
+        );
+        let Some(holder) = found else {
+            return;
+        };
+        let stranded = !hosts[holder].up || hosts[holder].paused;
+        if !stranded {
+            // The holder is live: rescue only a projected miss, and only
+            // when a strictly faster host sits idle.
+            let rate = self.rate(holder);
+            let Some(Activity::Compute { remaining_ref, .. }) = hosts[holder].activity else {
+                return;
+            };
+            let elapsed = self.now.since(hosts[holder].act_started).as_secs_f64();
+            let live_remaining = remaining_ref - elapsed * rate;
+            let projected = self
+                .now
+                .saturating_add(SimDuration::from_secs_f64((live_remaining / rate).max(0.0)));
+            if projected <= deadline {
+                return;
+            }
+            let holder_speed = hosts[holder].speed;
+            let idle = &self.st.idle;
+            let faster = idle
+                .fastest_first()
+                .next()
+                .is_some_and(|f| hosts[f].speed > holder_speed);
+            debug_assert_eq!(
+                faster,
+                idle.iter().any(|i| hosts[i].speed > holder_speed),
+                "fastest idle host disagrees with the linear scan",
+            );
+            if !faster {
+                return;
+            }
+            // A straggler preempted live is an interesting event.
+            self.window(holder);
+        }
+        self.export(holder, !stranded);
+        self.st.copies[copy].rescued = true;
+        self.st.report.migrations += 1;
+        if !stranded {
+            // The freed host competes for other work.
+            self.next_activity(holder);
+        }
+        self.sync_idle(holder);
+    }
+
+    fn evac_check(&mut self, h: usize, gen: u64) {
+        let host = &self.st.hosts[h];
+        if gen != host.act_gen || !host.up || host.paused {
+            return;
+        }
+        let Some(Activity::Compute {
+            remaining_ref,
+            progress_ref,
+            ..
+        }) = host.activity
+        else {
+            return;
+        };
+        let rate = self.rate(h);
+        let elapsed = self.now.since(host.act_started).as_secs_f64();
+        let live_remaining = remaining_ref - elapsed * rate;
+        if live_remaining <= 0.0 {
+            return; // finishing imminently; let ActDone land
+        }
+        // Evacuating pays a transfer and a re-download; it only ever
+        // wins when at least one durable quantum exists.
+        let quantum = self.deploy.checkpoint_interval.as_secs_f64() * rate;
+        let durable = durable_progress(progress_ref + elapsed * rate, progress_ref, quantum);
+        let hazard = migration::interruption_hazard(
+            self.fctx.churn,
+            self.fctx.span_gamma,
+            self.pool.mean_uptime_secs,
+            self.now.since(host.up_since).as_secs_f64(),
+            live_remaining / rate,
+        );
+        // Evacuate only toward predicted safety: an idle host at least
+        // as fast whose own hazard over the same work window sits below
+        // the threshold. Without such a home the export would burn NIC
+        // time to move the task between equally doomed hosts — at
+        // extreme churn nobody qualifies and the policy holds still.
+        let threshold = self.deploy.migration.hazard_threshold;
+        let home = SafeHomeQuery {
+            fctx: &self.fctx,
+            mean_uptime_secs: self.pool.mean_uptime_secs,
+            threshold,
+            now: self.now,
+            holder_speed: host.speed,
+            live_remaining,
+            solution: self.st.probe.solution,
+        };
+        if durable <= 0.0 || hazard < threshold || !home.exists(&self.st.idle, &self.st.hosts) {
+            // Re-arm for the next checkpoint quantum; the act_gen guard
+            // retires the chain on interruption.
+            self.arm_evac_check(h);
+            return;
+        }
+        self.window(h);
+        self.export(h, true);
+        self.st.report.evacuations += 1;
+        self.next_activity(h);
+        self.sync_idle(h);
+    }
+
+    fn xfer_done(&mut self, copy: usize, remaining_ref: f64) {
+        // The server NIC slot frees whether or not the state is still
+        // useful.
+        self.st.inflight_xfers = self.st.inflight_xfers.saturating_sub(1);
+        if !self.settled(copy) {
+            self.resume_elsewhere(copy, remaining_ref);
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Steps the handlers share.
+    // -----------------------------------------------------------------
+
+    fn after(&mut self, delay: SimDuration, ev: Ev) {
+        self.q.schedule(self.now.saturating_add(delay), ev);
+    }
+
+    fn after_secs(&mut self, secs: f64, ev: Ev) {
+        self.after(SimDuration::from_secs_f64(secs), ev);
+    }
+
+    /// Host `h`'s compute rate: reference seconds per host second.
+    fn rate(&self, h: usize) -> f64 {
+        self.st.probe.solution.rate(self.st.hosts[h].speed)
+    }
+
+    /// Hydrate a probe window for host `h`'s speed band around an
+    /// interesting event.
+    fn window(&mut self, h: usize) {
+        let st = &mut self.st;
+        st.hpool
+            .window(&st.probe, archetype::speed_band(st.hosts[h].speed));
+    }
+
+    /// Re-derive host `h`'s membership in the idle set after a handler
+    /// changed it. The set invariant — `h ∈ idle` iff
+    /// [`HostSlot::idle`] — is what lets the server push touch only
+    /// takers instead of scanning a million-host pool.
+    fn sync_idle(&mut self, h: usize) {
+        if self.st.hosts[h].idle() {
+            self.st.idle.insert(h);
+        } else {
+            self.st.idle.remove(h);
+        }
+    }
+
+    /// Copy `copy` needs nothing more: it returned, or its work unit
+    /// validated.
+    fn settled(&self, copy: usize) -> bool {
+        let c = &self.st.copies[copy];
+        c.returned || self.st.validator.is_validated(c.wu)
+    }
+
+    /// Draw host `h`'s next availability span (mean `mean`) and schedule
+    /// the flip that ends it. The new `life_gen` retires every event of
+    /// the span before; it is returned for arming the new span.
+    fn next_span(&mut self, h: usize, mean: f64) -> u64 {
+        let host = &mut self.st.hosts[h];
+        let churn = self.fctx.churn;
+        let span = faults::sample_span(
+            &mut host.rng,
+            churn.availability_shape,
+            self.fctx.span_gamma,
+            mean,
+        );
+        host.life_gen += 1;
+        let gen = host.life_gen;
+        let end = if host.up {
+            Ev::Down { h, gen }
+        } else {
+            Ev::Up { h, gen }
+        };
+        self.after_secs(span, end);
+        gen
+    }
+
+    /// Arm one fault process of host `h`: schedule `ev` an exponential
+    /// wait of mean `mean` from now, drawn from the fault stream. A mean
+    /// of zero switches the process off, and nothing is drawn. An owner
+    /// departure or sandbox kill re-arms its process through this same
+    /// guard; those events exist only while their mean is positive.
+    fn arm_fault(&mut self, h: usize, mean: f64, ev: Ev) {
+        if mean > 0.0 {
+            let wait = self.st.hosts[h].frng.exponential(mean);
+            self.after_secs(wait, ev);
+        }
+    }
+
+    /// Arm the periodic evacuation audit for a host in `Compute` — only
+    /// under the policy's `evacuate` arm, only under churn, and only
+    /// when checkpoints exist (no durable state, nothing worth
+    /// exporting). Policy-off campaigns schedule nothing here, ever.
+    fn arm_evac_check(&mut self, h: usize) {
+        let interval = self.deploy.checkpoint_interval;
+        if !self.deploy.migration.evacuate || !self.fctx.on || interval.is_zero() {
+            return;
+        }
+        if !matches!(self.st.hosts[h].activity, Some(Activity::Compute { .. })) {
+            return;
+        }
+        let gen = self.st.hosts[h].act_gen;
+        self.after(interval, Ev::EvacCheck { h, gen });
+    }
+
+    /// Start host `h`'s current activity now: retire any pending
+    /// `ActDone`, schedule the new one `secs` from now, and arm the
+    /// evacuation audit when the activity computes. The caller picks
+    /// the delay; only [`Run::next_activity`] floors it at 1 µs.
+    fn begin(&mut self, h: usize, secs: f64) {
+        let host = &mut self.st.hosts[h];
+        host.act_started = self.now;
+        host.act_gen += 1;
+        let gen = host.act_gen;
+        self.after_secs(secs, Ev::ActDone { h, gen });
+        self.arm_evac_check(h);
+    }
+
+    /// A download finished: host `h` computes copy `task`, with
+    /// `remaining_ref` reference seconds left after `progress_ref`.
+    fn compute(&mut self, h: usize, task: usize, remaining_ref: f64, progress_ref: f64) {
+        self.st.hosts[h].activity = Some(Activity::Compute {
+            task,
+            remaining_ref,
+            progress_ref,
+        });
+        let secs = remaining_ref / self.rate(h);
+        self.begin(h, secs);
+    }
+
+    /// Give host `h` its next activity (resume, or fetch new work). The
+    /// completion is at least 1 µs away.
+    fn next_activity(&mut self, h: usize) {
+        let host = &self.st.hosts[h];
+        if !host.up || host.excluded || host.paused {
+            return;
+        }
+        // Resume an interrupted activity if one exists; otherwise pick work.
+        if host.activity.is_none() && !self.fetch(h) {
+            return;
+        }
+        let secs = match self.st.hosts[h].activity {
+            Some(
+                Activity::ImageDl { remaining }
+                | Activity::InputDl { remaining, .. }
+                | Activity::StateDl { remaining, .. },
+            ) => remaining / self.pool.down_bw,
+            Some(Activity::Upload { remaining, .. }) => remaining / self.pool.up_bw,
+            Some(Activity::Compute { remaining_ref, .. }) => remaining_ref / self.rate(h),
+            None => return,
+        };
+        self.begin(h, secs.max(1e-6));
+    }
+
+    /// Hand host `h` new work: the VM image first, then the head of the
+    /// work queue. Returns false on an empty scheduler reply.
+    fn fetch(&mut self, h: usize) -> bool {
+        let backoff = &self.fctx.backoff;
+        let host = &mut self.st.hosts[h];
+        if !host.has_image {
+            host.activity = Some(Activity::ImageDl {
+                remaining: self.deploy.image_bytes as f64,
+            });
+            host.backoff.reset(backoff);
+            return true;
+        }
+        let Some(work) = self.st.queue.pop_front(&mut self.st.copies) else {
+            // Empty scheduler reply. Under churn the client retries with
+            // exponential backoff; the zero-churn path keeps the legacy
+            // server push (`Run::kick`) and schedules nothing.
+            if self.fctx.on && !host.refetch_pending {
+                let delay = host.backoff.next_delay(backoff);
+                host.refetch_pending = true;
+                self.after(delay, Ev::Refetch { h });
+            }
+            return false;
+        };
+        host.backoff.reset(backoff);
+        match work {
+            Work::Fresh(copy) => {
+                debug_assert!(!self.st.copies[copy].returned);
+                host.activity = Some(Activity::InputDl {
+                    remaining: self.project.wu_input_bytes as f64,
+                    task: copy,
+                });
+                self.st.copies[copy].holder = h as u32;
+                self.after(self.project.deadline, Ev::Deadline { copy });
+                if self.deploy.migration.rescue {
+                    // Audit the copy at the slack point; the full
+                    // deadline rides along for the projection.
+                    let slack =
+                        self.project.deadline.as_secs_f64() * self.deploy.migration.rescue_slack;
+                    let deadline = self.now.saturating_add(self.project.deadline);
+                    self.after_secs(slack, Ev::RescueCheck { copy, deadline });
                 }
             }
-            Ev::XferDone {
+            Work::Resume {
                 copy,
                 remaining_ref,
             } => {
-                // The server NIC slot frees whether or not the state is
-                // still useful.
-                *inflight_xfers = inflight_xfers.saturating_sub(1);
-                if copies[copy].returned || validator.is_validated(copies[copy].wu) {
-                    continue;
-                }
-                // Re-homed state jumps the queue, like PR 4 migration:
-                // finishing started work beats starting fresh copies.
-                queue.push_front(Work::Resume {
-                    copy,
+                // Fetch the migrated checkpoint.
+                host.activity = Some(Activity::StateDl {
+                    remaining: archetype::checkpoint_state_bytes(self.deploy) as f64,
+                    task: copy,
                     remaining_ref,
                 });
-                kick_idle_hosts(
-                    now, idle, hosts, queue, copies, validator, project, pool, deploy, q,
-                    vm_factor, ckpt_frac, fctx, report,
-                );
+                self.st.copies[copy].holder = h as u32;
+            }
+        }
+        true
+    }
+
+    /// Queue a fresh copy of work unit `wu` behind all other work
+    /// (a replacement or a deadline reissue) and offer it to idle hosts.
+    fn reissue(&mut self, wu: usize) {
+        let work = TaskCopy::issue(&mut self.st.copies, wu);
+        self.st.queue.push_back(work);
+        self.kick();
+    }
+
+    /// Queue checkpointed copy `copy` for any volunteer to resume and
+    /// offer it to idle hosts. Resumes jump the queue: finishing started
+    /// work beats starting fresh copies (BOINC's deadline-driven
+    /// scheduling has the same effect).
+    fn resume_elsewhere(&mut self, copy: usize, remaining_ref: f64) {
+        self.st.queue.push_front(Work::Resume {
+            copy,
+            remaining_ref,
+        });
+        self.kick();
+    }
+
+    /// Hand queued work to idle online hosts (called whenever the queue
+    /// gains entries after the initial distribution — migrations,
+    /// deadline reissues, replacement copies). Hosts otherwise only ask
+    /// for work at their own transitions. Under churn the server push is
+    /// disabled: idle clients poll with exponential backoff instead.
+    ///
+    /// Walks the idle set in ascending host id, the hand-out order both
+    /// substrates share, rather than the whole pool. The set is taken
+    /// out for the walk and put back after; handing out work never reads
+    /// it.
+    fn kick(&mut self) {
+        if self.fctx.on {
+            return;
+        }
+        let idle = std::mem::take(&mut self.st.idle);
+        let mut kicked: Vec<usize> = Vec::new();
+        for h in idle.iter() {
+            if self.st.queue.is_empty() {
+                break;
+            }
+            debug_assert!(
+                self.st.hosts[h].idle(),
+                "idle-set invariant broken for host {h}"
+            );
+            self.next_activity(h);
+            kicked.push(h);
+        }
+        self.st.idle = idle;
+        for h in kicked {
+            self.sync_idle(h);
+        }
+    }
+
+    /// Accrue partial progress of the interrupted activity. With
+    /// `preserve` false (host went down, app preempted) compute progress
+    /// rolls back to the last durable checkpoint; with `preserve` true
+    /// (VM suspend) it is kept in full.
+    fn accrue(&mut self, h: usize, preserve: bool) {
+        let rate = self.rate(h);
+        let st = &mut self.st;
+        let host = &mut st.hosts[h];
+        let elapsed = self.now.since(host.act_started).as_secs_f64();
+        let Some(act) = host.activity.as_mut() else {
+            return;
+        };
+        match act {
+            Activity::ImageDl { remaining }
+            | Activity::InputDl { remaining, .. }
+            | Activity::StateDl { remaining, .. } => {
+                *remaining = (*remaining - elapsed * self.pool.down_bw).max(0.0);
+                if matches!(act, Activity::ImageDl { .. }) {
+                    st.report.image_transfer_secs += elapsed;
+                }
+            }
+            Activity::Upload { remaining, .. } => {
+                *remaining = (*remaining - elapsed * self.pool.up_bw).max(0.0);
+            }
+            Activity::Compute {
+                task,
+                remaining_ref,
+                progress_ref,
+            } => {
+                st.report.cpu_secs_spent += elapsed;
+                let advanced = elapsed * rate;
+                let new_progress = *progress_ref + advanced;
+                if preserve {
+                    // Suspend-to-disk: every reference second survives.
+                    st.copies[*task].cpu_spent += elapsed;
+                    *remaining_ref -= advanced;
+                    *progress_ref = new_progress;
+                } else {
+                    // Roll back to the last checkpoint. Only the durable
+                    // delta is attributed to the copy — rolled-back time
+                    // is waste, never "useful" even if the copy validates.
+                    let quantum = self.deploy.checkpoint_interval.as_secs_f64() * rate;
+                    let kept = durable_progress(new_progress, *progress_ref, quantum);
+                    st.report.cpu_secs_lost += (new_progress - kept) / rate;
+                    st.copies[*task].cpu_spent += (kept - *progress_ref) / rate;
+                    *remaining_ref -= kept - *progress_ref;
+                    *progress_ref = kept;
+                }
             }
         }
     }
-    None
-}
 
-/// Snapshot the loop-exit state into the trajectory cache (when a
-/// store key is present), then run final accounting. The snapshot is
-/// taken *before* accounting so a resumed run re-derives the final
-/// report through the identical code path.
-fn store_and_finalize<Q: EventScheduler<Ev>>(
-    st: SimState,
-    mut q: Q,
-    carried: Option<(SimTime, Ev)>,
-    project: &ProjectConfig,
-    deploy: &DeployConfig,
-    horizon: SimTime,
-    store_key: Option<&str>,
-) -> GridReport {
-    if let Some(key) = store_key {
-        // Drain the queue in pop order: re-scheduling this sequence
-        // into a fresh queue preserves same-instant FIFO ties, so a
-        // resumed run pops the identical event stream. The carried
-        // event (popped by the break check, never processed) leads.
-        let mut pending: Vec<(SimTime, Ev)> = Vec::new();
-        pending.extend(carried);
-        while let Some(entry) = q.pop() {
-            pending.push(entry);
+    /// Destroy the sandbox: in-flight work (and any suspended state)
+    /// rolls back to the last durable checkpoint. The caller reschedules
+    /// the restart.
+    fn kill(&mut self, h: usize) {
+        if self.st.hosts[h].activity.is_none() {
+            return;
         }
-        fastforward::trajectory_store(
-            key,
-            horizon,
-            CampaignCheckpoint {
-                state: st.clone(),
-                pending,
+        if self.st.hosts[h].paused {
+            // The suspended image dies with the sandbox; only whole
+            // checkpoint quanta survive.
+            let rate = self.rate(h);
+            let quantum = self.deploy.checkpoint_interval.as_secs_f64() * rate;
+            let st = &mut self.st;
+            if let Some(Activity::Compute {
+                task,
+                remaining_ref,
+                progress_ref,
+            }) = st.hosts[h].activity.as_mut()
+            {
+                let kept = durable_progress(*progress_ref, 0.0, quantum);
+                let lost = *progress_ref - kept;
+                if lost > 0.0 {
+                    st.report.cpu_secs_lost += lost / rate;
+                    // Take the destroyed progress back out of the copy's
+                    // attributable CPU (the suspend credited it in full).
+                    st.copies[*task].cpu_spent =
+                        (st.copies[*task].cpu_spent - lost / rate).max(0.0);
+                    *remaining_ref += lost;
+                    *progress_ref = kept;
+                }
+            }
+        } else {
+            self.accrue(h, false);
+        }
+        self.st.hosts[h].act_gen += 1; // cancel the pending ActDone
+        self.st.report.vm_kills += 1;
+    }
+
+    /// Export computing host `h`'s checkpoint through the server NIC
+    /// (migration policy only). With `accrue` set (live holder) partial
+    /// progress first rolls back to the last durable checkpoint —
+    /// exactly the accounting an interruption applies; a stranded holder
+    /// already accrued at interruption time. The activity is cleared,
+    /// the pending `ActDone` cancelled, and an [`Ev::XferDone`] scheduled
+    /// after the contention-scaled transfer; only then does the state
+    /// become fetchable. Both audits call this only for a host they saw
+    /// computing.
+    fn export(&mut self, h: usize, accrue: bool) {
+        if accrue {
+            self.accrue(h, false);
+        }
+        let host = &mut self.st.hosts[h];
+        let Some(Activity::Compute {
+            task,
+            remaining_ref,
+            ..
+        }) = host.activity.take()
+        else {
+            unreachable!("host {h} exports a checkpoint without computing");
+        };
+        host.act_gen += 1; // cancel the pending ActDone
+                           // One server link: concurrent exports stretch each other linearly.
+        let base = migration::transfer_wire_secs(archetype::checkpoint_state_bytes(self.deploy));
+        let secs = base * (1.0 + self.st.inflight_xfers as f64);
+        self.st.inflight_xfers += 1;
+        self.st.report.transfer_secs += secs;
+        self.after_secs(
+            secs.max(1e-6),
+            Ev::XferDone {
+                copy: task,
+                remaining_ref,
             },
         );
     }
-    finalize(st, project, deploy, horizon)
 }
 
 /// Final accounting: fold the loop-exit state into the report.
@@ -1256,18 +1414,14 @@ fn finalize(
     report
 }
 
-/// Effective compute rate: reference seconds per host second.
-fn compute_rate(host: &HostSlot, vm_factor: f64, ckpt_frac: f64) -> f64 {
-    host.speed / vm_factor * (1.0 - ckpt_frac).max(0.05)
-}
-
 /// The idle hosts as one bit per host id. Membership changes on nearly
 /// every event, so insert and remove are single word operations.
 /// [`IdleSet::iter`] runs in ascending host id, the hand-out order of
-/// [`kick_idle_hosts`]. Campaigns with a migration policy keep the same
-/// set a second time, one bit per speed rank, so the migration audits
-/// can walk it fastest first ([`IdleSet::fastest_first`]).
-#[derive(Debug, Clone)]
+/// [`Run::kick`]. Campaigns with a migration policy keep the same set a
+/// second time, one bit per speed rank, so the migration audits can
+/// walk it fastest first ([`IdleSet::fastest_first`]). The default is
+/// the empty set over no hosts.
+#[derive(Debug, Clone, Default)]
 struct IdleSet {
     words: Vec<u64>,
     by_speed: Option<SpeedRanks>,
@@ -1375,11 +1529,23 @@ struct SafeHomeQuery<'a> {
     holder_speed: f64,
     /// Reference seconds of work the holder has left.
     live_remaining: f64,
-    vm_factor: f64,
-    ckpt_frac: f64,
+    /// The campaign's segment solution, which sets each host's rate.
+    solution: SegmentSolution,
 }
 
 impl SafeHomeQuery<'_> {
+    /// Whether a safe home exists: the fastest-first walk, which debug
+    /// builds cross-check against the linear scan.
+    fn exists(&self, idle: &IdleSet, hosts: &[HostSlot]) -> bool {
+        let found = self.fastest_first(idle, hosts);
+        debug_assert_eq!(
+            found,
+            self.linear(idle, hosts),
+            "fastest-first safe-home walk disagrees with the linear scan",
+        );
+        found
+    }
+
     /// The audit: walk the idle hosts fastest first and stop at the
     /// first one slower than the holder (every later one is slower
     /// still), or at the first whose owner-arrival term alone clears the
@@ -1400,7 +1566,7 @@ impl SafeHomeQuery<'_> {
             if cand.speed < self.holder_speed {
                 return false;
             }
-            let window = self.live_remaining / compute_rate(cand, self.vm_factor, self.ckpt_frac);
+            let window = self.live_remaining / self.solution.rate(cand.speed);
             let p_owner = migration::owner_arrival_prob(churn, window);
             if owner_stop && p_owner >= self.threshold + migration::OWNER_STOP_MARGIN {
                 return false;
@@ -1428,374 +1594,15 @@ impl SafeHomeQuery<'_> {
             if cand.speed < self.holder_speed {
                 return false;
             }
-            let cand_rate = compute_rate(cand, self.vm_factor, self.ckpt_frac);
             migration::interruption_hazard(
                 self.fctx.churn,
                 self.fctx.span_gamma,
                 self.mean_uptime_secs,
                 self.now.since(cand.up_since).as_secs_f64(),
-                self.live_remaining / cand_rate,
+                self.live_remaining / self.solution.rate(cand.speed),
             ) < self.threshold
         })
     }
-}
-
-/// Re-derive one host's membership in the idle set after an event arm
-/// mutated it. The set invariant — `h ∈ idle` iff the host is up,
-/// eligible, unpaused and between activities — is what lets the server
-/// push touch only takers instead of scanning a million-host pool.
-fn sync_idle(idle: &mut IdleSet, hosts: &[HostSlot], h: usize) {
-    let host = &hosts[h];
-    if host.up && !host.excluded && !host.paused && host.activity.is_none() {
-        idle.insert(h);
-    } else {
-        idle.remove(h);
-    }
-}
-
-/// Accrue partial progress of the interrupted activity. With `preserve`
-/// false (host went down, app preempted) compute progress rolls back to
-/// the last durable checkpoint; with `preserve` true (VM suspend) it is
-/// kept in full.
-#[allow(clippy::too_many_arguments)]
-fn accrue_activity(
-    h: usize,
-    now: SimTime,
-    hosts: &mut [HostSlot],
-    copies: &mut [TaskCopy],
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    vm_factor: f64,
-    ckpt_frac: f64,
-    preserve: bool,
-    report: &mut GridReport,
-) {
-    let elapsed = now.since(hosts[h].act_started).as_secs_f64();
-    let rate = compute_rate(&hosts[h], vm_factor, ckpt_frac);
-    let Some(act) = hosts[h].activity.as_mut() else {
-        return;
-    };
-    match act {
-        Activity::ImageDl { remaining }
-        | Activity::InputDl { remaining, .. }
-        | Activity::StateDl { remaining, .. } => {
-            *remaining = (*remaining - elapsed * pool.down_bw).max(0.0);
-            if matches!(act, Activity::ImageDl { .. }) {
-                report.image_transfer_secs += elapsed;
-            }
-        }
-        Activity::Upload { remaining, .. } => {
-            *remaining = (*remaining - elapsed * pool.up_bw).max(0.0);
-        }
-        Activity::Compute {
-            task,
-            remaining_ref,
-            progress_ref,
-        } => {
-            report.cpu_secs_spent += elapsed;
-            let advanced = elapsed * rate;
-            let new_progress = *progress_ref + advanced;
-            if preserve {
-                // Suspend-to-disk: every reference second survives.
-                copies[*task].cpu_spent += elapsed;
-                *remaining_ref -= advanced;
-                *progress_ref = new_progress;
-            } else {
-                // Roll back to the last checkpoint. Only the durable
-                // delta is attributed to the copy — rolled-back time is
-                // waste, never "useful" even if the copy validates.
-                let quantum = deploy.checkpoint_interval.as_secs_f64() * rate;
-                let kept = durable_progress(new_progress, *progress_ref, quantum);
-                report.cpu_secs_lost += (new_progress - kept) / rate;
-                copies[*task].cpu_spent += (kept - *progress_ref) / rate;
-                *remaining_ref -= kept - *progress_ref;
-                *progress_ref = kept;
-            }
-        }
-    }
-}
-
-/// Destroy the sandbox: in-flight work (and any suspended state) rolls
-/// back to the last durable checkpoint. The caller reschedules the
-/// restart.
-#[allow(clippy::too_many_arguments)]
-fn kill_task(
-    h: usize,
-    now: SimTime,
-    hosts: &mut [HostSlot],
-    copies: &mut [TaskCopy],
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    vm_factor: f64,
-    ckpt_frac: f64,
-    report: &mut GridReport,
-) {
-    if hosts[h].activity.is_none() {
-        return;
-    }
-    if hosts[h].paused {
-        // The suspended image dies with the sandbox; only whole
-        // checkpoint quanta survive.
-        let rate = compute_rate(&hosts[h], vm_factor, ckpt_frac);
-        if let Some(Activity::Compute {
-            task,
-            remaining_ref,
-            progress_ref,
-        }) = hosts[h].activity.as_mut()
-        {
-            let quantum = deploy.checkpoint_interval.as_secs_f64() * rate;
-            let kept = durable_progress(*progress_ref, 0.0, quantum);
-            let lost = *progress_ref - kept;
-            if lost > 0.0 {
-                report.cpu_secs_lost += lost / rate;
-                // Take the destroyed progress back out of the copy's
-                // attributable CPU (the suspend credited it in full).
-                copies[*task].cpu_spent = (copies[*task].cpu_spent - lost / rate).max(0.0);
-                *remaining_ref += lost;
-                *progress_ref = kept;
-            }
-        }
-    } else {
-        accrue_activity(
-            h, now, hosts, copies, pool, deploy, vm_factor, ckpt_frac, false, report,
-        );
-    }
-    hosts[h].act_gen += 1; // cancel the pending ActDone
-    report.vm_kills += 1;
-}
-
-/// Export the holder's computing checkpoint through the server NIC
-/// (migration policy only). With `accrue` set (live holder) partial
-/// progress first rolls back to the last durable checkpoint — exactly
-/// the accounting an interruption applies; a stranded holder already
-/// accrued at interruption time. The activity is cleared, the pending
-/// `ActDone` cancelled, and an [`Ev::XferDone`] scheduled after the
-/// contention-scaled transfer; only then does the state become
-/// fetchable. Returns false if the holder has no compute activity.
-#[allow(clippy::too_many_arguments)]
-fn export_checkpoint<Q: EventScheduler<Ev>>(
-    h: usize,
-    now: SimTime,
-    hosts: &mut [HostSlot],
-    copies: &mut [TaskCopy],
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    vm_factor: f64,
-    ckpt_frac: f64,
-    accrue: bool,
-    inflight_xfers: &mut u32,
-    report: &mut GridReport,
-    q: &mut Q,
-) -> bool {
-    if !matches!(hosts[h].activity, Some(Activity::Compute { .. })) {
-        return false;
-    }
-    if accrue {
-        accrue_activity(
-            h, now, hosts, copies, pool, deploy, vm_factor, ckpt_frac, false, report,
-        );
-    }
-    let Some(Activity::Compute {
-        task,
-        remaining_ref,
-        ..
-    }) = hosts[h].activity
-    else {
-        return false;
-    };
-    hosts[h].activity = None;
-    hosts[h].act_gen += 1; // cancel the pending ActDone
-    let state_bytes = archetype::checkpoint_state_bytes(deploy);
-    // One server link: concurrent exports stretch each other linearly.
-    let base = migration::transfer_wire_secs(state_bytes);
-    let secs = base * (1.0 + *inflight_xfers as f64);
-    *inflight_xfers += 1;
-    report.transfer_secs += secs;
-    q.schedule(
-        now.saturating_add(SimDuration::from_secs_f64(secs.max(1e-6))),
-        Ev::XferDone {
-            copy: task,
-            remaining_ref,
-        },
-    );
-    true
-}
-
-/// Hand queued work to idle online hosts (called whenever the queue
-/// gains entries after the initial distribution — migrations, deadline
-/// reissues, replacement copies). Hosts otherwise only ask for work at
-/// their own transitions. Under churn the server push is disabled:
-/// idle clients poll with exponential backoff instead.
-///
-/// Iterates the idle set (ascending host id — the same hand-out order
-/// as the original whole-pool scan) rather than all hosts: the walk
-/// touches one bit per idle host and one word per 64 hosts.
-#[allow(clippy::too_many_arguments)]
-fn kick_idle_hosts<Q: EventScheduler<Ev>>(
-    now: SimTime,
-    idle: &mut IdleSet,
-    hosts: &mut [HostSlot],
-    queue: &mut WorkQueue,
-    copies: &mut Vec<TaskCopy>,
-    validator: &mut QuorumValidator,
-    project: &ProjectConfig,
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    q: &mut Q,
-    vm_factor: f64,
-    ckpt_frac: f64,
-    fctx: &FaultCtx<'_>,
-    report: &mut GridReport,
-) {
-    if fctx.on {
-        return;
-    }
-    let mut kicked: Vec<usize> = Vec::new();
-    for h in idle.iter() {
-        if queue.is_empty() {
-            break;
-        }
-        debug_assert!(
-            hosts[h].up && !hosts[h].excluded && !hosts[h].paused && hosts[h].activity.is_none(),
-            "idle-set invariant broken for host {h}",
-        );
-        start_next_activity(
-            h, now, hosts, queue, copies, validator, project, pool, deploy, q, vm_factor,
-            ckpt_frac, fctx, report,
-        );
-        kicked.push(h);
-    }
-    for h in kicked {
-        sync_idle(idle, hosts, h);
-    }
-}
-
-/// Give the host its next activity (resume, or fetch new work).
-#[allow(clippy::too_many_arguments)]
-fn start_next_activity<Q: EventScheduler<Ev>>(
-    h: usize,
-    now: SimTime,
-    hosts: &mut [HostSlot],
-    queue: &mut WorkQueue,
-    copies: &mut Vec<TaskCopy>,
-    validator: &mut QuorumValidator,
-    project: &ProjectConfig,
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    q: &mut Q,
-    vm_factor: f64,
-    ckpt_frac: f64,
-    fctx: &FaultCtx<'_>,
-    _report: &mut GridReport,
-) {
-    if !hosts[h].up || hosts[h].excluded || hosts[h].paused {
-        return;
-    }
-    // Resume an interrupted activity if one exists; otherwise pick work.
-    if hosts[h].activity.is_none() {
-        if !hosts[h].has_image {
-            hosts[h].activity = Some(Activity::ImageDl {
-                remaining: deploy.image_bytes as f64,
-            });
-            hosts[h].backoff.reset(&fctx.backoff);
-        } else if let Some(work) = queue.pop_front(copies, validator) {
-            hosts[h].backoff.reset(&fctx.backoff);
-            match work {
-                Work::Fresh(copy) => {
-                    debug_assert!(!copies[copy].returned);
-                    copies[copy].holder = h as u32;
-                    hosts[h].activity = Some(Activity::InputDl {
-                        remaining: project.wu_input_bytes as f64,
-                        task: copy,
-                    });
-                    q.schedule(now.saturating_add(project.deadline), Ev::Deadline { copy });
-                    if deploy.migration.rescue {
-                        // Audit the copy at the slack point; the full
-                        // deadline rides along for the projection.
-                        let slack = project.deadline.as_secs_f64() * deploy.migration.rescue_slack;
-                        q.schedule(
-                            now.saturating_add(SimDuration::from_secs_f64(slack)),
-                            Ev::RescueCheck {
-                                copy,
-                                deadline: now.saturating_add(project.deadline),
-                            },
-                        );
-                    }
-                }
-                Work::Resume {
-                    copy,
-                    remaining_ref,
-                } => {
-                    // Fetch the migrated checkpoint: the VM's committed
-                    // RAM (or the small app-level state when native).
-                    let state_bytes = match &deploy.mode {
-                        ExecutionMode::Native => deploy.native_checkpoint_bytes,
-                        ExecutionMode::Vm(p) => p.guest_ram,
-                    };
-                    copies[copy].holder = h as u32;
-                    hosts[h].activity = Some(Activity::StateDl {
-                        remaining: state_bytes as f64,
-                        task: copy,
-                        remaining_ref,
-                    });
-                }
-            }
-        } else {
-            // Empty scheduler reply. Under churn the client retries with
-            // exponential backoff; the zero-churn path keeps the legacy
-            // server push (`kick_idle_hosts`) and schedules nothing.
-            if fctx.on && !hosts[h].refetch_pending {
-                let delay = hosts[h].backoff.next_delay(&fctx.backoff);
-                hosts[h].refetch_pending = true;
-                q.schedule(now.saturating_add(delay), Ev::Refetch { h });
-            }
-            return;
-        }
-    }
-    hosts[h].act_started = now;
-    let rate = compute_rate(&hosts[h], vm_factor, ckpt_frac);
-    let Some(act) = hosts[h].activity.as_ref() else {
-        return;
-    };
-    let secs = match act {
-        Activity::ImageDl { remaining }
-        | Activity::InputDl { remaining, .. }
-        | Activity::StateDl { remaining, .. } => remaining / pool.down_bw,
-        Activity::Upload { remaining, .. } => remaining / pool.up_bw,
-        Activity::Compute { remaining_ref, .. } => remaining_ref / rate,
-    };
-    hosts[h].act_gen += 1;
-    let gen = hosts[h].act_gen;
-    q.schedule(
-        now.saturating_add(SimDuration::from_secs_f64(secs.max(1e-6))),
-        Ev::ActDone { h, gen },
-    );
-    arm_evac_check(h, now, hosts, deploy, fctx, q);
-}
-
-/// Arm the periodic evacuation audit for a host that just (re)entered
-/// `Compute` — only under the policy's `evacuate` arm, only under
-/// churn, and only when checkpoints exist (no durable state, nothing
-/// worth exporting). Policy-off campaigns schedule nothing here, ever.
-fn arm_evac_check<Q: EventScheduler<Ev>>(
-    h: usize,
-    now: SimTime,
-    hosts: &[HostSlot],
-    deploy: &DeployConfig,
-    fctx: &FaultCtx<'_>,
-    q: &mut Q,
-) {
-    if !deploy.migration.evacuate || !fctx.on || deploy.checkpoint_interval.is_zero() {
-        return;
-    }
-    if !matches!(hosts[h].activity, Some(Activity::Compute { .. })) {
-        return;
-    }
-    let gen = hosts[h].act_gen;
-    q.schedule(
-        now.saturating_add(deploy.checkpoint_interval),
-        Ev::EvacCheck { h, gen },
-    );
 }
 
 #[cfg(test)]
@@ -1896,7 +1703,6 @@ mod tests {
             paused: false,
             refetch_pending: false,
             backoff: BackoffState::new(&BackoffPolicy::default()),
-            archetype: 0,
         }
     }
 
@@ -1980,14 +1786,15 @@ mod tests {
                 now,
                 holder_speed,
                 live_remaining: 10f64.powf(remaining_log),
-                vm_factor: rng.range_f64(1.0, 3.0),
-                ckpt_frac: rng.range_f64(0.0, 0.2),
+                solution: SegmentSolution {
+                    vm_factor: rng.range_f64(1.0, 3.0),
+                    ckpt_frac: rng.range_f64(0.0, 0.2),
+                },
             };
 
             let mut thresholds = vec![1e-300, 1.0, rng.next_f64()];
             for h in idle.iter() {
-                let window = query.live_remaining
-                    / compute_rate(&hosts[h], query.vm_factor, query.ckpt_frac);
+                let window = query.live_remaining / query.solution.rate(hosts[h].speed);
                 let p_owner = migration::owner_arrival_prob(&churn, window);
                 let hazard = migration::interruption_hazard(
                     &churn,

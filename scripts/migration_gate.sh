@@ -2,14 +2,12 @@
 # Migration gate (DESIGN.md §16): the fast, always-on slice of the
 # migration-policy contract.
 #
-#   1. Run the grid-migration registry sweep (churn x policy) at smoke
-#      fidelity; its gating test relations (rescue pays at high churn)
-#      are asserted by `cargo test`, this run proves the figure path
-#      itself stays executable and captures the JSON for CI artifacts.
-#   2. Re-run the grid_tradeoff bench recording pass and require the
-#      grid_migration rows to match the committed BENCH_engine.json
-#      exactly (the bench itself asserts rescue_wins > 0 and the
-#      makespan-inflation win before reporting).
+# Run the grid-migration registry sweep (churn x policy) at smoke
+# fidelity; its gating test relations (rescue pays at high churn) are
+# asserted by `cargo test`, this run proves the figure path itself stays
+# executable and captures the figure for CI artifacts. The pinned
+# migration-policy campaign rows (rescue wins, inflation, digests) are
+# checked by `tests/sim_output_pins.rs` in the ordinary test suite.
 #
 # Zero-churn EXPERIMENTS.md byte-identity is verify.sh's
 # `experiments_identity` step; the CI migration-gate lane runs both.
@@ -24,50 +22,4 @@ echo "==> grid-migration sweep smoke"
 cargo run -q --release --bin vgrid -- run grid-migration \
   > target/grid-migration.figure.txt
 cat target/grid-migration.figure.txt
-
-echo "==> grid_migration bench rows vs committed BENCH_engine.json"
-CANDIDATE="$PWD/target/BENCH_migration.candidate.json"
-rm -f "$CANDIDATE"
-VGRID_BENCH_JSON="$CANDIDATE" VGRID_BENCH_QUICK=1 \
-  cargo bench -q -p vgrid-bench --bench grid_tradeoff > /dev/null
-
-python3 - "$CANDIDATE" "$PWD/BENCH_engine.json" <<'PY'
-import json
-import sys
-
-def rows(path):
-    out = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if row["type"] == "metric" and row["group"] == "grid_migration":
-                out[(row["id"], row["metric"])] = row["value"]
-    return out
-
-now, base = rows(sys.argv[1]), rows(sys.argv[2])
-failures = []
-if not now:
-    failures.append("no grid_migration rows produced by this run")
-if not base:
-    failures.append(f"no grid_migration rows committed in {sys.argv[2]}")
-for key, value in sorted(base.items()):
-    got = now.get(key)
-    if got is None:
-        failures.append(f"{key}: row missing from this run")
-    elif got != value:
-        failures.append(f"{key}: {got!r} != committed {value!r}")
-    else:
-        print(f"grid_migration/{'/'.join(key)}: exact match ok")
-for key in sorted(now):
-    if key not in base:
-        failures.append(f"{key}: new row not in committed baseline; re-run scripts/bench.sh")
-if failures:
-    print("migration gate FAILED:", file=sys.stderr)
-    for f in failures:
-        print(f"  - {f}", file=sys.stderr)
-    sys.exit(1)
-print("migration gate: OK")
-PY
+echo "migration gate: OK"

@@ -57,9 +57,9 @@ serve_smoke() {
   ./scripts/serve_smoke.sh
 }
 
-# Migration gate (DESIGN.md §16): the grid-migration sweep smoke plus
-# the pinned grid_migration bench rows. Shared with CI's dedicated
-# migration-gate lane.
+# Migration gate (DESIGN.md §16): the grid-migration sweep smoke (the
+# pinned migration rows are checked by `cargo test`). Shared with CI's
+# dedicated migration-gate lane.
 migration_gate() {
   ./scripts/migration_gate.sh
 }
@@ -94,7 +94,7 @@ step "fig1 metrics manifest byte-identity (tests/golden/fig1.metrics.json)" \
 step "serve smoke (live server vs campaign --spec, byte-identical)" \
   serve_smoke
 
-step "migration gate (sweep smoke + pinned grid_migration bench rows)" \
+step "migration gate (grid-migration sweep smoke)" \
   migration_gate
 
 echo

@@ -32,6 +32,17 @@ const CASES: &[(&str, &str)] = &[
         "tests/golden/campaign_migration.request.json",
         "tests/golden/campaign_migration.response.json",
     ),
+    // Zero-byte transfers and sub-microsecond work: the schedules a
+    // download-to-compute or compute-to-upload step makes carry no
+    // 1 µs floor, so these pin the delays the simulator leaves unfloored.
+    (
+        "tests/golden/campaign_zero_bytes.request.json",
+        "tests/golden/campaign_zero_bytes.response.json",
+    ),
+    (
+        "tests/golden/campaign_sub_microsecond.request.json",
+        "tests/golden/campaign_sub_microsecond.response.json",
+    ),
 ];
 
 fn read(path: &str) -> String {
