@@ -33,52 +33,31 @@ use vgrid_simcore::{OnlineStats, RepetitionRunner, SimTime, Summary};
 /// default so unseeded campaigns and unseeded trials agree.
 pub const DEFAULT_SEED: u64 = 0xD0A1_57E5_7BED_5EED;
 
-/// Metric names exposed by [`CampaignResult`], in report order.
-pub const METRIC_NAMES: &[&str] = &[
-    "validated_wus",
-    "efficiency",
-    "hosts_excluded_ram",
-    "image_transfer_secs",
-    "migrations",
-    "goodput",
-    "wasted_cpu_secs",
-    "reissues",
-    "makespan_inflation",
-    "makespan_secs",
-    "cpu_secs_spent",
-    "cpu_secs_lost",
-    "results_returned",
-    "bad_results",
-    "owner_preemptions",
-    "vm_kills",
-    "evacuations",
-    "rescue_wins",
-    "transfer_secs",
-];
+/// A metric's name and the report value it reads.
+type Metric = (&'static str, fn(&GridReport) -> f64);
 
-fn metric_values(r: &GridReport) -> [f64; 19] {
-    [
-        r.validated_wus as f64,
-        r.efficiency,
-        r.hosts_excluded_ram as f64,
-        r.image_transfer_secs,
-        r.migrations as f64,
-        r.goodput,
-        r.wasted_cpu_secs,
-        r.reissues as f64,
-        r.makespan_inflation,
-        r.makespan_secs,
-        r.cpu_secs_spent,
-        r.cpu_secs_lost,
-        r.results_returned as f64,
-        r.bad_results as f64,
-        r.owner_preemptions as f64,
-        r.vm_kills as f64,
-        r.evacuations as f64,
-        r.rescue_wins as f64,
-        r.transfer_secs,
-    ]
-}
+/// Metrics exposed by [`CampaignResult`], in report order.
+const METRICS: &[Metric] = &[
+    ("validated_wus", |r| r.validated_wus as f64),
+    ("efficiency", |r| r.efficiency),
+    ("hosts_excluded_ram", |r| r.hosts_excluded_ram as f64),
+    ("image_transfer_secs", |r| r.image_transfer_secs),
+    ("migrations", |r| r.migrations as f64),
+    ("goodput", |r| r.goodput),
+    ("wasted_cpu_secs", |r| r.wasted_cpu_secs),
+    ("reissues", |r| r.reissues as f64),
+    ("makespan_inflation", |r| r.makespan_inflation),
+    ("makespan_secs", |r| r.makespan_secs),
+    ("cpu_secs_spent", |r| r.cpu_secs_spent),
+    ("cpu_secs_lost", |r| r.cpu_secs_lost),
+    ("results_returned", |r| r.results_returned as f64),
+    ("bad_results", |r| r.bad_results as f64),
+    ("owner_preemptions", |r| r.owner_preemptions as f64),
+    ("vm_kills", |r| r.vm_kills as f64),
+    ("evacuations", |r| r.evacuations as f64),
+    ("rescue_wins", |r| r.rescue_wins as f64),
+    ("transfer_secs", |r| r.transfer_secs),
+];
 
 /// Declarative description of a volunteer campaign.
 #[derive(Debug, Clone)]
@@ -329,20 +308,20 @@ impl Campaign {
     }
 
     fn fold(&self, reports: Vec<GridReport>) -> CampaignResult {
-        let mut stats: Vec<OnlineStats> = METRIC_NAMES.iter().map(|_| OnlineStats::new()).collect();
-        for report in &reports {
-            for (stat, value) in stats.iter_mut().zip(metric_values(report)) {
-                stat.push(value);
-            }
-        }
+        let metrics = METRICS
+            .iter()
+            .map(|(name, value)| {
+                let mut stat = OnlineStats::new();
+                for report in &reports {
+                    stat.push(value(report));
+                }
+                (*name, stat.summary())
+            })
+            .collect();
         CampaignResult {
             label: self.spec.label.clone(),
             mode: self.spec.deploy.mode.to_string(),
-            metrics: METRIC_NAMES
-                .iter()
-                .zip(stats)
-                .map(|(name, stat)| (*name, stat.summary()))
-                .collect(),
+            metrics,
             reports,
         }
     }
@@ -356,7 +335,7 @@ pub struct CampaignResult {
     pub label: String,
     /// Execution-mode name ("native", "vm-QEMU", ...).
     pub mode: String,
-    /// `(metric name, summary)` in [`METRIC_NAMES`] order.
+    /// `(metric name, summary)` in report order.
     metrics: Vec<(&'static str, Summary)>,
     reports: Vec<GridReport>,
 }
@@ -372,8 +351,8 @@ impl CampaignResult {
     }
 
     /// All metric names, in report order.
-    pub fn metric_names(&self) -> &'static [&'static str] {
-        METRIC_NAMES
+    pub fn metric_names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.metrics.iter().map(|(name, _)| *name)
     }
 
     /// Per-repetition reports, in repetition order.
@@ -444,7 +423,9 @@ mod tests {
     #[test]
     fn result_mirrors_trial_result_accessors() {
         let result = quick_spec().build().unwrap().run();
-        assert_eq!(result.metric_names(), METRIC_NAMES);
+        assert!(result
+            .metric_names()
+            .eq(METRICS.iter().map(|(name, _)| *name)));
         assert_eq!(
             result.metric("validated_wus").mean,
             result.reports()[0].validated_wus as f64
@@ -462,7 +443,7 @@ mod tests {
             .unwrap();
         let par = campaign.run();
         let seq = campaign.run_seq();
-        for name in METRIC_NAMES {
+        for name in par.metric_names() {
             let (a, b) = (par.metric(name), seq.metric(name));
             assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{name}");
             assert_eq!(a.stddev.to_bits(), b.stddev.to_bits(), "{name}");

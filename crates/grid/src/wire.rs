@@ -11,16 +11,27 @@
 //! The parser is hand-rolled (the workspace is dependency-free) and
 //! *strict*: unknown keys are rejected with a typed [`WireError`]
 //! rather than silently ignored, the wire twin of the CLI's
-//! unknown-flag diagnosis. Serialization is canonical — sorted keys,
-//! every field explicit, `simobs::json` float formatting — so
-//! `render_request(parse_request(doc))` is a fixed point and digests
+//! unknown-flag diagnosis, and nesting deeper than 32 levels is a
+//! `json` error rather than a stack overflow. Serialization is
+//! canonical — sorted keys, every field explicit, `simobs::json` float
+//! formatting, seconds as the exact decimal of their picosecond count —
+//! so `render_request(parse_request(doc))` is a fixed point and digests
 //! over the canonical form are stable.
+//!
+//! Each request section has one field table: a row per key, holding the
+//! key and an accessor whose `Slot` type says how the field decodes
+//! and renders. The decoder, the canonical renderer and the round-trip
+//! test all walk the same tables, so a key added as one row is decoded,
+//! rendered and tested at once. Only keys with rules of their own are
+//! written out by hand: `spec_version`, `deploy.mode` (it picks the
+//! defaults), `deploy.migration` (omitted while the policy is off), the
+//! `churn.level` shorthand and `options`.
 //!
 //! `simobs::json` deliberately has no parser (its artifacts are gated
 //! with `cmp`); the wire format is the one place the workspace accepts
 //! JSON *input*, which is why the parser lives here and not there.
 
-use crate::campaign::{CampaignResult, CampaignSpec, METRIC_NAMES};
+use crate::campaign::{CampaignResult, CampaignSpec};
 use crate::error::Error;
 use crate::faults::ChurnConfig;
 use crate::migration::MigrationPolicy;
@@ -142,9 +153,16 @@ impl Json {
     }
 }
 
+/// Deepest `[`/`{` nesting a document may have. A request nests three
+/// levels; the cap keeps hostile input from recursing the parser off
+/// its thread's stack.
+const MAX_DEPTH: usize = 32;
+
 struct Parser<'a> {
     s: &'a [u8],
     i: usize,
+    /// Arrays and objects open at `i`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -190,8 +208,19 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, WireError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_keyword("true").map(|_| Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false").map(|_| Json::Bool(false)),
@@ -352,6 +381,7 @@ fn parse_json(text: &str) -> Result<Json, WireError> {
     let mut p = Parser {
         s: text.as_bytes(),
         i: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -362,7 +392,211 @@ fn parse_json(text: &str) -> Result<Json, WireError> {
 }
 
 // ---------------------------------------------------------------------
-// Typed field extraction
+// Field tables
+// ---------------------------------------------------------------------
+
+/// A mutable view of one config field, typed by how the wire carries
+/// it. [`Slot::decode`] and [`Slot::render`] hold each wire type's
+/// rules, so every field of a type decodes and renders alike.
+enum Slot<'a> {
+    U32(&'a mut u32),
+    U64(&'a mut u64),
+    F64(&'a mut f64),
+    Bool(&'a mut bool),
+    /// Seconds on the wire, picoseconds in the struct.
+    Secs(&'a mut SimDuration),
+    /// An instant, carried like [`Slot::Secs`].
+    Time(&'a mut SimTime),
+    Str(&'a mut String),
+    /// A u64 that also accepts a decimal or `"0x…"` string (u64 seeds
+    /// above 2^53 do not survive an f64 JSON number in other tooling)
+    /// and renders as a hex string.
+    Seed(&'a mut u64),
+}
+
+/// One table row: a wire key and the accessor to the field it names.
+type Key<T> = (&'static str, fn(&mut T) -> Slot<'_>);
+
+// One table per section. Rows are in decode order, which decides the
+// error a document with several bad keys reports; the renderer sorts.
+
+const REQUEST: &[Key<CampaignSpec>] = &[
+    ("label", |s| Slot::Str(&mut s.label)),
+    ("seed", |s| Slot::Seed(&mut s.seed)),
+    ("repetitions", |s| Slot::U32(&mut s.repetitions)),
+    ("horizon_secs", |s| Slot::Time(&mut s.horizon)),
+];
+
+const PROJECT: &[Key<ProjectConfig>] = &[
+    ("workunits", |p| Slot::U32(&mut p.workunits)),
+    ("wu_ref_secs", |p| Slot::F64(&mut p.wu_ref_secs)),
+    ("wu_input_bytes", |p| Slot::U64(&mut p.wu_input_bytes)),
+    ("wu_output_bytes", |p| Slot::U64(&mut p.wu_output_bytes)),
+    ("replication", |p| Slot::U32(&mut p.replication)),
+    ("quorum", |p| Slot::U32(&mut p.quorum)),
+    ("deadline_secs", |p| Slot::Secs(&mut p.deadline)),
+    ("error_rate", |p| Slot::F64(&mut p.error_rate)),
+];
+
+const POOL: &[Key<PoolConfig>] = &[
+    ("volunteers", |p| Slot::U32(&mut p.volunteers)),
+    ("mean_uptime_secs", |p| Slot::F64(&mut p.mean_uptime_secs)),
+    ("mean_downtime_secs", |p| {
+        Slot::F64(&mut p.mean_downtime_secs)
+    }),
+    ("speed_min", |p| Slot::F64(&mut p.speed_range.0)),
+    ("speed_max", |p| Slot::F64(&mut p.speed_range.1)),
+    ("down_bw", |p| Slot::F64(&mut p.down_bw)),
+    ("up_bw", |p| Slot::F64(&mut p.up_bw)),
+    ("ram_min_bytes", |p| Slot::U64(&mut p.ram_range.0)),
+    ("ram_max_bytes", |p| Slot::U64(&mut p.ram_range.1)),
+    ("permanent_failure_prob", |p| {
+        Slot::F64(&mut p.permanent_failure_prob)
+    }),
+];
+
+/// `deploy`'s keys besides `mode`, which picks the defaults these
+/// override, and `migration`, which is omitted while the policy is off.
+const DEPLOY: &[Key<DeployConfig>] = &[
+    ("image_bytes", |d| Slot::U64(&mut d.image_bytes)),
+    ("checkpoint_interval_secs", |d| {
+        Slot::Secs(&mut d.checkpoint_interval)
+    }),
+    ("native_checkpoint_bytes", |d| {
+        Slot::U64(&mut d.native_checkpoint_bytes)
+    }),
+    ("host_headroom_bytes", |d| {
+        Slot::U64(&mut d.host_headroom_bytes)
+    }),
+    ("migrate_on_churn", |d| Slot::Bool(&mut d.migrate_on_churn)),
+];
+
+const MIGRATION: &[Key<MigrationPolicy>] = &[
+    ("rescue", |m| Slot::Bool(&mut m.rescue)),
+    ("evacuate", |m| Slot::Bool(&mut m.evacuate)),
+    ("rescue_slack", |m| Slot::F64(&mut m.rescue_slack)),
+    ("hazard_threshold", |m| Slot::F64(&mut m.hazard_threshold)),
+];
+
+/// `churn`'s explicit knobs; the `level` shorthand stands alone.
+const CHURN: &[Key<ChurnConfig>] = &[
+    ("availability_shape", |c| {
+        Slot::F64(&mut c.availability_shape)
+    }),
+    ("uptime_factor", |c| Slot::F64(&mut c.uptime_factor)),
+    ("owner_arrival_mean_secs", |c| {
+        Slot::F64(&mut c.owner_arrival_mean_secs)
+    }),
+    ("owner_session_mean_secs", |c| {
+        Slot::F64(&mut c.owner_session_mean_secs)
+    }),
+    ("preempt_kill_prob", |c| Slot::F64(&mut c.preempt_kill_prob)),
+    ("vm_kill_mean_secs", |c| Slot::F64(&mut c.vm_kill_mean_secs)),
+];
+
+fn is_digits(raw: &str) -> bool {
+    raw.bytes().all(|b| b.is_ascii_digit())
+}
+
+/// Picoseconds in a seconds token that is not a plain integer, or
+/// `None` when it is negative, not finite or beyond the simulated-time
+/// range. A plain decimal with at most 12 fraction digits (every
+/// canonical token) converts exactly; any other token rounds to the
+/// nearest picosecond through f64, which cannot hold every picosecond
+/// count above 2^53 ps (about 9,007 s).
+fn fraction_picos(raw: &str) -> Option<u64> {
+    let plain = raw
+        .split_once('.')
+        .filter(|(int, frac)| frac.len() <= 12 && is_digits(int) && is_digits(frac));
+    match plain {
+        Some((int, frac)) => {
+            let frac_ps: u64 = format!("{frac:0<12}").parse().ok()?;
+            int.parse::<u64>()
+                .ok()?
+                .checked_mul(PS_PER_SEC)?
+                .checked_add(frac_ps)
+        }
+        None => SimDuration::checked_from_secs_f64(raw.parse().ok()?).map(SimDuration::as_picos),
+    }
+}
+
+impl Slot<'_> {
+    /// Decode `v` into the field; `path` names the field in errors.
+    fn decode(self, path: &str, v: Json) -> Result<(), WireError> {
+        let got = v.type_name();
+        let err = |what: &str| WireError::invalid(format!("{path} {what}"));
+        let wrong = |want: &str| err(&format!("must be {want}, got {got}"));
+        let uint = |v: &Json| match v {
+            Json::Num(raw) if is_digits(raw) => {
+                raw.parse::<u64>().map_err(|_| err("exceeds the u64 range"))
+            }
+            _ => Err(wrong("a non-negative integer")),
+        };
+        let number = |v: &Json| match v {
+            Json::Num(raw) => raw.parse::<f64>().map_err(|_| err("is not a number")),
+            _ => Err(wrong("a number")),
+        };
+        // Simulated time is picoseconds in a u64, so anything beyond
+        // about 213.5 days is rejected instead of wrapping.
+        let duration = |v: &Json| -> Result<SimDuration, WireError> {
+            let ps = match v {
+                Json::Num(raw) if is_digits(raw) => uint(v)?.checked_mul(PS_PER_SEC),
+                Json::Num(raw) => fraction_picos(raw),
+                _ => return Err(wrong("a number")),
+            };
+            ps.map(SimDuration::from_picos).ok_or_else(|| {
+                err("must be finite, >= 0 and at most 18446744 s (the simulated-time range)")
+            })
+        };
+        match self {
+            Slot::U32(x) => {
+                *x = u32::try_from(uint(&v)?).map_err(|_| err("exceeds the u32 range"))?
+            }
+            Slot::U64(x) => *x = uint(&v)?,
+            Slot::F64(x) => *x = number(&v)?,
+            Slot::Bool(x) => match v {
+                Json::Bool(b) => *x = b,
+                _ => return Err(wrong("a bool")),
+            },
+            Slot::Secs(x) => *x = duration(&v)?,
+            Slot::Time(x) => *x = SimTime::from_picos(duration(&v)?.as_picos()),
+            Slot::Str(x) => match v {
+                Json::Str(s) => *x = s,
+                _ => return Err(wrong("a string")),
+            },
+            Slot::Seed(x) => match v {
+                Json::Num(_) => *x = uint(&v)?,
+                Json::Str(s) => {
+                    let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+                        Some(hex) => u64::from_str_radix(hex, 16),
+                        None => s.parse::<u64>(),
+                    };
+                    *x = parsed
+                        .map_err(|_| err(&format!("{s:?} is not a u64 (decimal or 0x-hex)")))?;
+                }
+                _ => return Err(wrong("an integer or string")),
+            },
+        }
+        Ok(())
+    }
+
+    /// The field's canonical JSON token.
+    fn render(self) -> String {
+        match self {
+            Slot::U32(x) => x.to_string(),
+            Slot::U64(x) => x.to_string(),
+            Slot::F64(x) => json::number(*x),
+            Slot::Bool(x) => x.to_string(),
+            Slot::Secs(x) => secs(x.as_picos()),
+            Slot::Time(x) => secs(x.as_picos()),
+            Slot::Str(x) => json::string(x),
+            Slot::Seed(x) => hex64(*x),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Request decoding
 // ---------------------------------------------------------------------
 
 /// Field cursor over one object: `take` removes known keys, `finish`
@@ -388,6 +622,38 @@ impl Fields {
         Some(self.entries.remove(i).1)
     }
 
+    fn path(&self, key: &str) -> String {
+        if self.section == "request" {
+            key.to_string()
+        } else {
+            format!("{}.{key}", self.section)
+        }
+    }
+
+    /// Decode each of `table`'s keys this object holds into `target`.
+    fn decode<T>(&mut self, table: &[Key<T>], target: &mut T) -> Result<(), WireError> {
+        for (key, slot) in table {
+            if let Some(v) = self.take(key) {
+                slot(target).decode(&self.path(key), v)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Take a hand-written key, decoded like a table field.
+    fn take_as<V: Default>(
+        &mut self,
+        key: &str,
+        slot: fn(&mut V) -> Slot<'_>,
+    ) -> Result<Option<V>, WireError> {
+        let Some(v) = self.take(key) else {
+            return Ok(None);
+        };
+        let mut out = V::default();
+        slot(&mut out).decode(&self.path(key), v)?;
+        Ok(Some(out))
+    }
+
     fn finish(self) -> Result<(), WireError> {
         if let Some((key, _)) = self.entries.first() {
             return Err(WireError::invalid(format!(
@@ -399,276 +665,62 @@ impl Fields {
     }
 }
 
-fn field_path(section: &str, key: &str) -> String {
-    if section == "request" {
-        key.to_string()
-    } else {
-        format!("{section}.{key}")
-    }
-}
-
-fn as_f64(section: &str, key: &str, v: Json) -> Result<f64, WireError> {
-    match v {
-        Json::Num(raw) => raw.parse::<f64>().map_err(|_| {
-            WireError::invalid(format!("{} is not a number", field_path(section, key)))
-        }),
-        other => Err(WireError::invalid(format!(
-            "{} must be a number, got {}",
-            field_path(section, key),
-            other.type_name()
-        ))),
-    }
-}
-
-fn as_u64(section: &str, key: &str, v: Json) -> Result<u64, WireError> {
-    match v {
-        Json::Num(raw) if raw.bytes().all(|b| b.is_ascii_digit()) => {
-            raw.parse::<u64>().map_err(|_| {
-                WireError::invalid(format!(
-                    "{} exceeds the u64 range",
-                    field_path(section, key)
-                ))
-            })
-        }
-        other => Err(WireError::invalid(format!(
-            "{} must be a non-negative integer, got {}",
-            field_path(section, key),
-            other.type_name()
-        ))),
-    }
-}
-
-fn as_u32(section: &str, key: &str, v: Json) -> Result<u32, WireError> {
-    let n = as_u64(section, key, v)?;
-    u32::try_from(n).map_err(|_| {
-        WireError::invalid(format!(
-            "{} exceeds the u32 range",
-            field_path(section, key)
-        ))
-    })
-}
-
-fn as_bool(section: &str, key: &str, v: Json) -> Result<bool, WireError> {
-    match v {
-        Json::Bool(b) => Ok(b),
-        other => Err(WireError::invalid(format!(
-            "{} must be a bool, got {}",
-            field_path(section, key),
-            other.type_name()
-        ))),
-    }
-}
-
-fn as_str(section: &str, key: &str, v: Json) -> Result<String, WireError> {
-    match v {
-        Json::Str(s) => Ok(s),
-        other => Err(WireError::invalid(format!(
-            "{} must be a string, got {}",
-            field_path(section, key),
-            other.type_name()
-        ))),
-    }
-}
-
-/// Seconds field: an integer maps to whole seconds exactly; a
-/// fractional value rounds to the nearest picosecond. Simulated time is
-/// picoseconds in a `u64`, so anything beyond about 213.5 days
-/// (18,446,744 s) is rejected instead of wrapping.
-fn as_duration(section: &str, key: &str, v: Json) -> Result<SimDuration, WireError> {
-    let out_of_range = || {
-        WireError::invalid(format!(
-            "{} must be finite, >= 0 and at most 18446744 s (the simulated-time range)",
-            field_path(section, key)
-        ))
-    };
-    match &v {
-        Json::Num(raw) if raw.bytes().all(|b| b.is_ascii_digit()) => {
-            SimDuration::checked_from_secs(as_u64(section, key, v.clone())?)
-                .ok_or_else(out_of_range)
-        }
-        _ => SimDuration::checked_from_secs_f64(as_f64(section, key, v)?).ok_or_else(out_of_range),
-    }
-}
-
-fn as_time(section: &str, key: &str, v: Json) -> Result<SimTime, WireError> {
-    Ok(SimTime::from_picos(
-        as_duration(section, key, v)?.as_picos(),
-    ))
-}
-
-/// Seed: a JSON integer, a decimal string, or a `"0x…"` hex string —
-/// strings exist because u64 seeds above 2^53 do not survive an f64
-/// JSON number in other tooling.
-fn as_seed(v: Json) -> Result<u64, WireError> {
-    match v {
-        Json::Num(_) => as_u64("request", "seed", v),
-        Json::Str(s) => {
-            let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-                Some(hex) => u64::from_str_radix(hex, 16),
-                None => s.parse::<u64>(),
-            };
-            parsed.map_err(|_| {
-                WireError::invalid(format!("seed {s:?} is not a u64 (decimal or 0x-hex)"))
-            })
-        }
-        other => Err(WireError::invalid(format!(
-            "seed must be an integer or string, got {}",
-            other.type_name()
-        ))),
-    }
-}
-
-/// Resolve a wire mode name to an execution mode. Canonical names are
-/// the report names (`native`, `vm-QEMU`, …); the CLI's short aliases
-/// are accepted on input.
-fn mode_by_name(name: &str) -> Result<ExecutionMode, WireError> {
+/// Resolve a mode name to an execution mode, ignoring case. Canonical
+/// names are the report names (`native`, `vm-QEMU`, …); the CLI's
+/// short aliases (`qemu`, `vbox`, …) resolve too.
+pub fn mode_by_name(name: &str) -> Option<ExecutionMode> {
     match name.to_ascii_lowercase().as_str() {
-        "native" => Ok(ExecutionMode::Native),
+        "native" => Some(ExecutionMode::Native),
         "vm-vmwareplayer" | "vmplayer" | "vmware" | "vmwareplayer" => {
-            Ok(ExecutionMode::Vm(VmmProfile::vmplayer()))
+            Some(ExecutionMode::Vm(VmmProfile::vmplayer()))
         }
-        "vm-qemu" | "qemu" => Ok(ExecutionMode::Vm(VmmProfile::qemu())),
-        "vm-virtualbox" | "virtualbox" | "vbox" => Ok(ExecutionMode::Vm(VmmProfile::virtualbox())),
-        "vm-virtualpc" | "virtualpc" | "vpc" => Ok(ExecutionMode::Vm(VmmProfile::virtualpc())),
-        _ => Err(WireError::invalid(format!(
-            "unknown deploy.mode {name:?} (native, vm-VMwarePlayer, vm-QEMU, vm-VirtualBox, vm-VirtualPC)"
-        ))),
+        "vm-qemu" | "qemu" => Some(ExecutionMode::Vm(VmmProfile::qemu())),
+        "vm-virtualbox" | "virtualbox" | "vbox" => {
+            Some(ExecutionMode::Vm(VmmProfile::virtualbox()))
+        }
+        "vm-virtualpc" | "virtualpc" | "vpc" => Some(ExecutionMode::Vm(VmmProfile::virtualpc())),
+        _ => None,
     }
 }
 
-// ---------------------------------------------------------------------
-// Request decoding
-// ---------------------------------------------------------------------
-
-fn decode_project(v: Json) -> Result<ProjectConfig, WireError> {
-    let s = "project";
-    let mut f = Fields::from(s, v)?;
-    let mut p = ProjectConfig::default();
-    if let Some(v) = f.take("workunits") {
-        p.workunits = as_u32(s, "workunits", v)?;
-    }
-    if let Some(v) = f.take("wu_ref_secs") {
-        p.wu_ref_secs = as_f64(s, "wu_ref_secs", v)?;
-    }
-    if let Some(v) = f.take("wu_input_bytes") {
-        p.wu_input_bytes = as_u64(s, "wu_input_bytes", v)?;
-    }
-    if let Some(v) = f.take("wu_output_bytes") {
-        p.wu_output_bytes = as_u64(s, "wu_output_bytes", v)?;
-    }
-    if let Some(v) = f.take("replication") {
-        p.replication = as_u32(s, "replication", v)?;
-    }
-    if let Some(v) = f.take("quorum") {
-        p.quorum = as_u32(s, "quorum", v)?;
-    }
-    if let Some(v) = f.take("deadline_secs") {
-        p.deadline = as_duration(s, "deadline_secs", v)?;
-    }
-    if let Some(v) = f.take("error_rate") {
-        p.error_rate = as_f64(s, "error_rate", v)?;
-    }
-    f.finish()?;
-    Ok(p)
-}
-
-fn decode_pool(v: Json) -> Result<PoolConfig, WireError> {
-    let s = "pool";
-    let mut f = Fields::from(s, v)?;
-    let mut p = PoolConfig::default();
-    if let Some(v) = f.take("volunteers") {
-        p.volunteers = as_u32(s, "volunteers", v)?;
-    }
-    if let Some(v) = f.take("mean_uptime_secs") {
-        p.mean_uptime_secs = as_f64(s, "mean_uptime_secs", v)?;
-    }
-    if let Some(v) = f.take("mean_downtime_secs") {
-        p.mean_downtime_secs = as_f64(s, "mean_downtime_secs", v)?;
-    }
-    if let Some(v) = f.take("speed_min") {
-        p.speed_range.0 = as_f64(s, "speed_min", v)?;
-    }
-    if let Some(v) = f.take("speed_max") {
-        p.speed_range.1 = as_f64(s, "speed_max", v)?;
-    }
-    if let Some(v) = f.take("down_bw") {
-        p.down_bw = as_f64(s, "down_bw", v)?;
-    }
-    if let Some(v) = f.take("up_bw") {
-        p.up_bw = as_f64(s, "up_bw", v)?;
-    }
-    if let Some(v) = f.take("ram_min_bytes") {
-        p.ram_range.0 = as_u64(s, "ram_min_bytes", v)?;
-    }
-    if let Some(v) = f.take("ram_max_bytes") {
-        p.ram_range.1 = as_u64(s, "ram_max_bytes", v)?;
-    }
-    if let Some(v) = f.take("permanent_failure_prob") {
-        p.permanent_failure_prob = as_f64(s, "permanent_failure_prob", v)?;
-    }
-    f.finish()?;
-    Ok(p)
+/// Decode a section that is exactly one table.
+fn decode_section<T>(
+    section: &'static str,
+    v: Json,
+    table: &[Key<T>],
+    target: &mut T,
+) -> Result<(), WireError> {
+    let mut f = Fields::from(section, v)?;
+    f.decode(table, target)?;
+    f.finish()
 }
 
 fn decode_deploy(v: Json) -> Result<DeployConfig, WireError> {
-    let s = "deploy";
-    let mut f = Fields::from(s, v)?;
-    let mode = match f.take("mode") {
-        Some(v) => mode_by_name(&as_str(s, "mode", v)?)?,
-        None => ExecutionMode::Native,
+    let mut f = Fields::from("deploy", v)?;
+    let mut d = match f.take_as("mode", |s| Slot::Str(s))? {
+        None => DeployConfig::native(),
+        Some(name) => match mode_by_name(&name) {
+            Some(ExecutionMode::Native) => DeployConfig::native(),
+            Some(ExecutionMode::Vm(profile)) => DeployConfig::vm(profile, 1_400 << 20),
+            None => {
+                return Err(WireError::invalid(format!(
+                    "unknown deploy.mode {name:?} (native, vm-VMwarePlayer, vm-QEMU, vm-VirtualBox, vm-VirtualPC)"
+                )))
+            }
+        },
     };
-    let mut d = match mode {
-        ExecutionMode::Native => DeployConfig::native(),
-        ExecutionMode::Vm(profile) => DeployConfig::vm(profile, 1_400 << 20),
-    };
-    if let Some(v) = f.take("image_bytes") {
-        d.image_bytes = as_u64(s, "image_bytes", v)?;
-    }
-    if let Some(v) = f.take("checkpoint_interval_secs") {
-        d.checkpoint_interval = as_duration(s, "checkpoint_interval_secs", v)?;
-    }
-    if let Some(v) = f.take("native_checkpoint_bytes") {
-        d.native_checkpoint_bytes = as_u64(s, "native_checkpoint_bytes", v)?;
-    }
-    if let Some(v) = f.take("host_headroom_bytes") {
-        d.host_headroom_bytes = as_u64(s, "host_headroom_bytes", v)?;
-    }
-    if let Some(v) = f.take("migrate_on_churn") {
-        d.migrate_on_churn = as_bool(s, "migrate_on_churn", v)?;
-    }
+    f.decode(DEPLOY, &mut d)?;
     if let Some(v) = f.take("migration") {
-        d.migration = decode_migration(v)?;
+        decode_section("deploy.migration", v, MIGRATION, &mut d.migration)?;
     }
     f.finish()?;
     Ok(d)
 }
 
-fn decode_migration(v: Json) -> Result<MigrationPolicy, WireError> {
-    let s = "deploy.migration";
-    let mut f = Fields::from(s, v)?;
-    let mut m = MigrationPolicy::off();
-    if let Some(v) = f.take("rescue") {
-        m.rescue = as_bool(s, "rescue", v)?;
-    }
-    if let Some(v) = f.take("evacuate") {
-        m.evacuate = as_bool(s, "evacuate", v)?;
-    }
-    if let Some(v) = f.take("rescue_slack") {
-        m.rescue_slack = as_f64(s, "rescue_slack", v)?;
-    }
-    if let Some(v) = f.take("hazard_threshold") {
-        m.hazard_threshold = as_f64(s, "hazard_threshold", v)?;
-    }
-    f.finish()?;
-    Ok(m)
-}
-
 fn decode_churn(v: Json) -> Result<ChurnConfig, WireError> {
-    let s = "churn";
-    let mut f = Fields::from(s, v)?;
+    let mut f = Fields::from("churn", v)?;
     // `level` is the one-knob shorthand; it must stand alone.
-    if let Some(v) = f.take("level") {
-        let level = as_f64(s, "level", v)?;
+    if let Some(level) = f.take_as("level", |x| Slot::F64(x))? {
         if !level.is_finite() {
             return Err(WireError::invalid("churn.level must be finite"));
         }
@@ -678,34 +730,16 @@ fn decode_churn(v: Json) -> Result<ChurnConfig, WireError> {
         return Ok(ChurnConfig::intensity(level));
     }
     let mut c = ChurnConfig::default();
-    if let Some(v) = f.take("availability_shape") {
-        c.availability_shape = as_f64(s, "availability_shape", v)?;
-    }
-    if let Some(v) = f.take("uptime_factor") {
-        c.uptime_factor = as_f64(s, "uptime_factor", v)?;
-    }
-    if let Some(v) = f.take("owner_arrival_mean_secs") {
-        c.owner_arrival_mean_secs = as_f64(s, "owner_arrival_mean_secs", v)?;
-    }
-    if let Some(v) = f.take("owner_session_mean_secs") {
-        c.owner_session_mean_secs = as_f64(s, "owner_session_mean_secs", v)?;
-    }
-    if let Some(v) = f.take("preempt_kill_prob") {
-        c.preempt_kill_prob = as_f64(s, "preempt_kill_prob", v)?;
-    }
-    if let Some(v) = f.take("vm_kill_mean_secs") {
-        c.vm_kill_mean_secs = as_f64(s, "vm_kill_mean_secs", v)?;
-    }
+    f.decode(CHURN, &mut c)?;
     f.finish()?;
     Ok(c)
 }
 
 fn decode_options(v: Json) -> Result<RunOptions, WireError> {
-    let s = "options";
-    let mut f = Fields::from(s, v)?;
+    let mut f = Fields::from("options", v)?;
     let mut o = RunOptions::default();
-    if let Some(v) = f.take("scheduler") {
-        o.scheduler = match as_str(s, "scheduler", v)?.as_str() {
+    if let Some(name) = f.take_as("scheduler", |s| Slot::Str(s))? {
+        o.scheduler = match name.as_str() {
             "coalesced" => SchedulerMode::Coalesced,
             "per-quantum-reference" => SchedulerMode::PerQuantumReference,
             other => {
@@ -715,8 +749,8 @@ fn decode_options(v: Json) -> Result<RunOptions, WireError> {
             }
         };
     }
-    if let Some(v) = f.take("substrate") {
-        o.substrate = match as_str(s, "substrate", v)?.as_str() {
+    if let Some(name) = f.take_as("substrate", |s| Slot::Str(s))? {
+        o.substrate = match name.as_str() {
             "batched" => SubstrateMode::Batched,
             "hydrated-reference" => SubstrateMode::HydratedReference,
             other => {
@@ -726,8 +760,8 @@ fn decode_options(v: Json) -> Result<RunOptions, WireError> {
             }
         };
     }
-    if let Some(v) = f.take("fastforward") {
-        o.fastforward = as_bool(s, "fastforward", v)?;
+    if let Some(on) = f.take_as("fastforward", |b| Slot::Bool(b))? {
+        o.fastforward = on;
     }
     f.finish()?;
     Ok(o)
@@ -737,45 +771,29 @@ fn decode_options(v: Json) -> Result<RunOptions, WireError> {
 /// anywhere are an error, and `spec_version` must be present and equal
 /// to [`SPEC_VERSION`].
 pub fn parse_request(body: &str) -> Result<WireRequest, WireError> {
-    let doc = parse_json(body)?;
-    let s = "request";
-    let mut f = Fields::from(s, doc)?;
-    match f.take("spec_version") {
-        None => {
-            return Err(WireError::new(
+    let mut f = Fields::from("request", parse_json(body)?)?;
+    let version = f
+        .take_as("spec_version", |n| Slot::U64(n))
+        .map_err(|e| WireError::new(WireErrorKind::Version, e.message))?
+        .ok_or_else(|| {
+            WireError::new(
                 WireErrorKind::Version,
                 "missing spec_version (this build speaks version 1)",
-            ))
-        }
-        Some(v) => {
-            let version = as_u64(s, "spec_version", v)
-                .map_err(|e| WireError::new(WireErrorKind::Version, e.message))?;
-            if version != SPEC_VERSION {
-                return Err(WireError::new(
-                    WireErrorKind::Version,
-                    format!("unsupported spec_version {version} (supported: {SPEC_VERSION})"),
-                ));
-            }
-        }
+            )
+        })?;
+    if version != SPEC_VERSION {
+        return Err(WireError::new(
+            WireErrorKind::Version,
+            format!("unsupported spec_version {version} (supported: {SPEC_VERSION})"),
+        ));
     }
     let mut spec = CampaignSpec::new("campaign");
-    if let Some(v) = f.take("label") {
-        spec.label = as_str(s, "label", v)?;
-    }
-    if let Some(v) = f.take("seed") {
-        spec.seed = as_seed(v)?;
-    }
-    if let Some(v) = f.take("repetitions") {
-        spec.repetitions = as_u32(s, "repetitions", v)?;
-    }
-    if let Some(v) = f.take("horizon_secs") {
-        spec.horizon = as_time(s, "horizon_secs", v)?;
-    }
+    f.decode(REQUEST, &mut spec)?;
     if let Some(v) = f.take("project") {
-        spec.project = decode_project(v)?;
+        decode_section("project", v, PROJECT, &mut spec.project)?;
     }
     if let Some(v) = f.take("pool") {
-        spec.pool = decode_pool(v)?;
+        decode_section("pool", v, POOL, &mut spec.pool)?;
     }
     if let Some(v) = f.take("deploy") {
         spec.deploy = decode_deploy(v)?;
@@ -795,21 +813,19 @@ pub fn parse_request(body: &str) -> Result<WireRequest, WireError> {
 // Canonical serialization
 // ---------------------------------------------------------------------
 
-fn uint(v: u64) -> String {
-    v.to_string()
-}
-
 fn hex64(v: u64) -> String {
     json::string(&format!("{v:#018x}"))
 }
 
-/// Seconds as a canonical JSON number: whole seconds render as an
-/// integer token, fractional ones through the round-trip float format.
+/// Seconds as a canonical JSON number: the exact decimal of the
+/// picosecond count, integral when whole, which parses back to the same
+/// count.
 fn secs(ps: u64) -> String {
-    if ps.is_multiple_of(PS_PER_SEC) {
-        uint(ps / PS_PER_SEC)
+    let (whole, frac) = (ps / PS_PER_SEC, ps % PS_PER_SEC);
+    if frac == 0 {
+        whole.to_string()
     } else {
-        json::number(ps as f64 / PS_PER_SEC as f64)
+        format!("{whole}.{}", format!("{frac:012}").trim_end_matches('0'))
     }
 }
 
@@ -828,93 +844,48 @@ fn render_options(o: &RunOptions) -> String {
     ])
 }
 
+/// One object of `table`'s fields of `target` and the already rendered
+/// `extra` keys, in sorted key order.
+fn render_object<T>(
+    table: &[Key<T>],
+    target: &mut T,
+    mut extra: Vec<(&'static str, String)>,
+) -> String {
+    extra.extend(
+        table
+            .iter()
+            .map(|(key, slot)| (*key, slot(target).render())),
+    );
+    extra.sort_by_key(|(key, _)| *key);
+    json::object(&extra)
+}
+
 /// Canonical serialization of a request: sorted keys, every field
 /// explicit. `render_request(parse_request(x))` is a fixed point,
 /// and [`spec_digest`] is an FNV-1a over exactly these bytes.
 pub fn render_request(spec: &CampaignSpec, options: &RunOptions) -> String {
-    let p = &spec.project;
-    let project = json::object(&[
-        ("deadline_secs", secs(p.deadline.as_picos())),
-        ("error_rate", json::number(p.error_rate)),
-        ("quorum", uint(p.quorum as u64)),
-        ("replication", uint(p.replication as u64)),
-        ("workunits", uint(p.workunits as u64)),
-        ("wu_input_bytes", uint(p.wu_input_bytes)),
-        ("wu_output_bytes", uint(p.wu_output_bytes)),
-        ("wu_ref_secs", json::number(p.wu_ref_secs)),
-    ]);
-    let pl = &spec.pool;
-    let pool = json::object(&[
-        ("down_bw", json::number(pl.down_bw)),
-        ("mean_downtime_secs", json::number(pl.mean_downtime_secs)),
-        ("mean_uptime_secs", json::number(pl.mean_uptime_secs)),
-        (
-            "permanent_failure_prob",
-            json::number(pl.permanent_failure_prob),
-        ),
-        ("ram_max_bytes", uint(pl.ram_range.1)),
-        ("ram_min_bytes", uint(pl.ram_range.0)),
-        ("speed_max", json::number(pl.speed_range.1)),
-        ("speed_min", json::number(pl.speed_range.0)),
-        ("up_bw", json::number(pl.up_bw)),
-        ("volunteers", uint(pl.volunteers as u64)),
-    ]);
-    let d = &spec.deploy;
+    // The accessors hand out `&mut`, so render through a copy.
+    let mut s = spec.clone();
+    let d = &mut s.deploy;
+    let mut deploy = vec![("mode", json::string(d.mode.name()))];
     // "migration" is omitted entirely when the policy is off, so every
     // pre-policy request renders byte-identically to its historic form.
-    let mut deploy_fields: Vec<(&str, String)> = vec![
-        (
-            "checkpoint_interval_secs",
-            secs(d.checkpoint_interval.as_picos()),
-        ),
-        ("host_headroom_bytes", uint(d.host_headroom_bytes)),
-        ("image_bytes", uint(d.image_bytes)),
-        ("migrate_on_churn", d.migrate_on_churn.to_string()),
-    ];
     if !d.migration.is_off() {
-        deploy_fields.push((
-            "migration",
-            json::object(&[
-                ("evacuate", d.migration.evacuate.to_string()),
-                (
-                    "hazard_threshold",
-                    json::number(d.migration.hazard_threshold),
-                ),
-                ("rescue", d.migration.rescue.to_string()),
-                ("rescue_slack", json::number(d.migration.rescue_slack)),
-            ]),
-        ));
+        let migration = render_object(MIGRATION, &mut d.migration, Vec::new());
+        deploy.push(("migration", migration));
     }
-    deploy_fields.push(("mode", json::string(d.mode.name())));
-    deploy_fields.push(("native_checkpoint_bytes", uint(d.native_checkpoint_bytes)));
-    let deploy = json::object(&deploy_fields);
-    let c = &spec.churn;
-    let churn = json::object(&[
-        ("availability_shape", json::number(c.availability_shape)),
-        (
-            "owner_arrival_mean_secs",
-            json::number(c.owner_arrival_mean_secs),
-        ),
-        (
-            "owner_session_mean_secs",
-            json::number(c.owner_session_mean_secs),
-        ),
-        ("preempt_kill_prob", json::number(c.preempt_kill_prob)),
-        ("uptime_factor", json::number(c.uptime_factor)),
-        ("vm_kill_mean_secs", json::number(c.vm_kill_mean_secs)),
-    ]);
-    json::object(&[
-        ("churn", churn),
-        ("deploy", deploy),
-        ("horizon_secs", secs(spec.horizon.as_picos())),
-        ("label", json::string(&spec.label)),
+    let sections = vec![
+        ("churn", render_object(CHURN, &mut s.churn, Vec::new())),
+        ("deploy", render_object(DEPLOY, &mut s.deploy, deploy)),
         ("options", render_options(options)),
-        ("pool", pool),
-        ("project", project),
-        ("repetitions", uint(spec.repetitions as u64)),
-        ("seed", hex64(spec.seed)),
-        ("spec_version", uint(SPEC_VERSION)),
-    ])
+        ("pool", render_object(POOL, &mut s.pool, Vec::new())),
+        (
+            "project",
+            render_object(PROJECT, &mut s.project, Vec::new()),
+        ),
+        ("spec_version", SPEC_VERSION.to_string()),
+    ];
+    render_object(REQUEST, &mut s, sections)
 }
 
 /// FNV-1a digest of the canonical request form — the stable identity
@@ -948,7 +919,7 @@ pub fn render_response(
     options: &RunOptions,
     result: &CampaignResult,
 ) -> String {
-    let mut names: Vec<&str> = METRIC_NAMES.to_vec();
+    let mut names: Vec<&str> = result.metric_names().collect();
     if spec.deploy.migration.is_off() {
         // Policy-off responses keep the historic metric set so every
         // pre-policy golden manifest stays byte-identical.
@@ -974,12 +945,12 @@ pub fn render_response(
         ("metrics", json::object(&metrics)),
         ("mode", json::string(&result.mode)),
         ("options", render_options(options)),
-        ("repetitions", uint(spec.repetitions.max(1) as u64)),
+        ("repetitions", spec.repetitions.max(1).to_string()),
         ("report_digest", hex64(report_digest)),
         ("schema", json::string(RESPONSE_SCHEMA)),
         ("seed", hex64(spec.seed)),
         ("spec_digest", hex64(spec_digest(spec, options))),
-        ("spec_version", uint(SPEC_VERSION)),
+        ("spec_version", SPEC_VERSION.to_string()),
     ]) + "\n"
 }
 
@@ -997,21 +968,25 @@ pub fn render_error(e: &WireError) -> String {
     ]) + "\n"
 }
 
-/// Parse, validate, run, render: the one entry point both `vgrid
-/// campaign --spec` and the serve worker use, which is what makes a
-/// served response byte-identical to the CLI manifest for the same
-/// request body.
-pub fn run_request_json(body: &str) -> Result<String, WireError> {
-    let req = parse_request(body)?;
+/// Validate, run, render: the one path both `vgrid campaign --spec`
+/// and the serve worker take, which is what makes a served response
+/// byte-identical to the CLI manifest for the same request body.
+pub fn run_request(req: &WireRequest) -> Result<String, WireError> {
     let campaign = req.spec.clone().build()?;
     let result = campaign.run_with(&req.options);
     Ok(render_response(&req.spec, &req.options, &result))
+}
+
+/// [`parse_request`], then [`run_request`].
+pub fn run_request_json(body: &str) -> Result<String, WireError> {
+    run_request(&parse_request(body)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use vgrid_simcore::SimRng;
 
     #[test]
     fn minimal_request_takes_defaults() {
@@ -1151,96 +1126,141 @@ mod tests {
         assert!(doc.ends_with('\n'));
     }
 
-    prop_compose! {
-        fn arb_options()(pq in any::<bool>(), hydr in any::<bool>(), ff in any::<bool>())
-            -> RunOptions
-        {
-            RunOptions {
-                scheduler: if pq {
-                    SchedulerMode::PerQuantumReference
-                } else {
-                    SchedulerMode::Coalesced
-                },
-                substrate: if hydr {
-                    SubstrateMode::HydratedReference
-                } else {
-                    SubstrateMode::Batched
-                },
-                fastforward: ff,
+    #[test]
+    fn canonical_seconds_are_exact() {
+        // f64 seconds cannot hold every picosecond count above 2^53 ps
+        // (about 9,007 s). Through f64, this deadline parsed back as
+        // ...491 ps and drifted one picosecond per resubmission, and
+        // the last picosecond rendered as 18446744.07370955, which the
+        // range check rejected.
+        let mut spec = CampaignSpec::new("exact").horizon(SimTime::MAX);
+        spec.project.deadline = SimDuration::from_picos(4_287_407_471_628_490);
+        let doc = render_request(&spec, &RunOptions::default());
+        assert!(
+            doc.contains(r#""deadline_secs":4287.40747162849,"#),
+            "{doc}"
+        );
+        assert!(
+            doc.contains(r#""horizon_secs":18446744.073709551615,"#),
+            "{doc}"
+        );
+        let back = parse_request(&doc).expect("canonical form parses");
+        assert_eq!(back.spec.project.deadline, spec.project.deadline);
+        assert_eq!(back.spec.horizon, SimTime::MAX);
+    }
+
+    #[test]
+    fn deep_nesting_is_a_json_error_not_a_stack_overflow() {
+        // 2 MiB is the default stack of a spawned thread, such as a
+        // serve worker's.
+        let e = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| parse_request(&"[".repeat(1_000_000)).unwrap_err())
+            .expect("spawn the parser thread")
+            .join()
+            .expect("the parser returns");
+        assert_eq!(e.kind, WireErrorKind::Json);
+        assert!(e.message.contains("nesting deeper than 32 levels"), "{e}");
+    }
+
+    /// A value over the slot type's full range, edges included.
+    fn fill(slot: Slot, rng: &mut SimRng) {
+        let picos = |rng: &mut SimRng| match rng.next_below(5) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => rng.next_below(18_446_745) * PS_PER_SEC,
+            3 => rng.next_below(1_000 * PS_PER_SEC),
+            _ => rng.next_u64(),
+        };
+        match slot {
+            Slot::U32(x) => *x = [0, u32::MAX, rng.next_u32()][rng.next_below(3) as usize],
+            Slot::U64(x) | Slot::Seed(x) => {
+                *x = [0, u64::MAX, rng.next_below(1 << 20), rng.next_u64()]
+                    [rng.next_below(4) as usize]
+            }
+            Slot::F64(x) => {
+                let bits = rng.next_u64();
+                let sign = if bits >> 63 == 1 { -1.0 } else { 1.0 };
+                *x = match rng.next_below(6) {
+                    0 => sign * 0.0,
+                    1 => sign * f64::MAX,
+                    2 => sign * f64::MIN_POSITIVE,
+                    // Subnormal.
+                    3 => sign * f64::from_bits(bits & ((1 << 52) - 1)),
+                    4 => rng.range_f64(-1e6, 1e6),
+                    _ => Some(f64::from_bits(bits))
+                        .filter(|f| f.is_finite())
+                        .unwrap_or(1.5),
+                }
+            }
+            Slot::Bool(x) => *x = rng.chance(0.5),
+            Slot::Secs(x) => *x = SimDuration::from_picos(picos(rng)),
+            Slot::Time(x) => *x = SimTime::from_picos(picos(rng)),
+            Slot::Str(x) => {
+                let alphabet = [
+                    'a', 'Z', '7', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{c}',
+                    '\u{1}', '\u{1f}', '\u{7f}', 'é', '€', '😀',
+                ];
+                let len = rng.next_below(12);
+                *x = (0..len)
+                    .map(|_| alphabet[rng.next_below(alphabet.len() as u64) as usize])
+                    .collect();
             }
         }
     }
 
-    prop_compose! {
-        fn arb_spec()(
-            tag in 0u64..1_000_000,
-            seed in any::<u64>(),
-            reps in 1u32..4,
-            horizon in 1u64..100 * 24 * 3600,
-            workunits in 1u32..500,
-            quorum in 1u32..4,
-            extra_repl in 0u32..3,
-            wu_ref in 1.0f64..50_000.0,
-            error_rate in 0.0f64..0.5,
-            volunteers in 1u32..300,
-            mode in prop_oneof![
-                Just("native"),
-                Just("qemu"),
-                Just("vmplayer"),
-                Just("virtualbox"),
-                Just("virtualpc")
-            ],
-            image in 0u64..4 << 30,
-            ckpt in 0u64..7 * 24 * 3600,
-            churn_level in prop_oneof![Just(0.0f64), 0.1f64..3.0],
-            migrate in any::<bool>(),
-            policy in 0u8..4,
-        ) -> CampaignSpec {
-            let mut deploy = mode_by_name(mode)
-                .map(|m| match m {
-                    ExecutionMode::Native => DeployConfig::native(),
-                    ExecutionMode::Vm(p) => DeployConfig::vm(p, image),
-                })
-                .expect("known mode");
-            deploy.checkpoint_interval = SimDuration::from_secs(ckpt);
-            deploy.migrate_on_churn = migrate;
-            deploy.migration = match policy {
-                0 => MigrationPolicy::off(),
-                1 => MigrationPolicy::rescue_only(),
-                2 => MigrationPolicy::evacuate_only(),
-                _ => MigrationPolicy::full(),
-            };
-            CampaignSpec::new(format!("spec-{tag}"))
-                .seed(seed)
-                .repetitions(reps)
-                .horizon(SimTime::from_secs(horizon))
-                .project(ProjectConfig {
-                    workunits,
-                    wu_ref_secs: wu_ref,
-                    replication: quorum + extra_repl,
-                    quorum,
-                    error_rate,
-                    ..Default::default()
-                })
-                .pool(PoolConfig {
-                    volunteers,
-                    ..Default::default()
-                })
-                .churn(ChurnConfig::intensity(churn_level))
-                .deploy(deploy)
+    fn fill_table<T>(table: &[Key<T>], target: &mut T, rng: &mut SimRng) {
+        for (_, slot) in table {
+            fill(slot(target), rng);
         }
     }
 
+    /// A request with every table key set independently, in any of the
+    /// five modes, with any options.
+    fn random_request(rng: &mut SimRng) -> WireRequest {
+        let modes = [
+            "native",
+            "vm-VMwarePlayer",
+            "vm-QEMU",
+            "vm-VirtualBox",
+            "vm-VirtualPC",
+        ];
+        let mut spec = CampaignSpec::new("");
+        spec.deploy.mode = mode_by_name(modes[rng.next_below(5) as usize]).expect("known mode");
+        fill_table(REQUEST, &mut spec, rng);
+        fill_table(PROJECT, &mut spec.project, rng);
+        fill_table(POOL, &mut spec.pool, rng);
+        fill_table(DEPLOY, &mut spec.deploy, rng);
+        fill_table(MIGRATION, &mut spec.deploy.migration, rng);
+        fill_table(CHURN, &mut spec.churn, rng);
+        let options = RunOptions {
+            scheduler: if rng.chance(0.5) {
+                SchedulerMode::PerQuantumReference
+            } else {
+                SchedulerMode::Coalesced
+            },
+            substrate: if rng.chance(0.5) {
+                SubstrateMode::HydratedReference
+            } else {
+                SubstrateMode::Batched
+            },
+            fastforward: rng.chance(0.5),
+        };
+        WireRequest { spec, options }
+    }
+
     proptest! {
-        /// Round trip: canonical render → parse → render is byte-stable
-        /// and reconstructs the same spec/options (via the canonical
-        /// bytes, which cover every field).
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Round trip over every table key at full width: the canonical
+        /// document parses, and re-renders to the same bytes.
         #[test]
-        fn render_parse_round_trips(spec in arb_spec(), options in arb_options()) {
-            let doc = render_request(&spec, &options);
-            let req = parse_request(&doc).expect("canonical doc parses");
-            prop_assert_eq!(req.options, options);
-            prop_assert_eq!(render_request(&req.spec, &req.options), doc);
+        fn render_parse_round_trips(seed in any::<u64>()) {
+            let req = random_request(&mut SimRng::new(seed));
+            let doc = render_request(&req.spec, &req.options);
+            let back = parse_request(&doc).unwrap_or_else(|e| panic!("{e}: {doc}"));
+            prop_assert_eq!(back.options, req.options);
+            prop_assert_eq!(render_request(&back.spec, &back.options), doc);
         }
     }
 }

@@ -10,13 +10,13 @@
 //! ## Determinism contract (DESIGN.md §15)
 //!
 //! The response body is a **pure function of the request document**.
-//! Both the worker and `vgrid campaign --spec` call
-//! `grid::wire::run_request_json`, so a served response is
-//! byte-identical to the CLI manifest for the same body, regardless of
-//! server load, request interleaving, or cache temperature — the
-//! `serve_determinism` integration test hammers the server with
-//! interleaved duplicates and diffs every byte against a cold
-//! sequential run.
+//! Both the worker and `vgrid campaign --spec` parse the body with
+//! `grid::wire::parse_request` and run it with `grid::wire::run_request`,
+//! so a served response is byte-identical to the CLI manifest for the
+//! same body, regardless of server load, request interleaving, or cache
+//! temperature — the `serve_determinism` integration test hammers the
+//! server with interleaved duplicates and diffs every byte against a
+//! cold sequential run.
 //!
 //! Because runs share the process-wide trajectory cache
 //! (`grid::fastforward`), a request whose configuration was already
@@ -326,7 +326,7 @@ fn respond_campaign(body: &str) -> (u16, Vec<(&'static str, String)>, String) {
     if cross_hit {
         CROSS_HITS.fetch_add(1, Ordering::Relaxed);
     }
-    match wire::run_request_json(body) {
+    match wire::run_request(&parsed) {
         Ok(manifest) => (
             200,
             vec![("X-Vgrid-Cross-Hit", u8::from(cross_hit).to_string())],

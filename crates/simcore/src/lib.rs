@@ -41,7 +41,6 @@
 pub mod calendar;
 pub mod detmap;
 pub mod event;
-pub mod fault;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -50,11 +49,9 @@ pub mod trace;
 pub use calendar::RadixQueue;
 pub use detmap::{DetMap, DetSet};
 pub use event::{EventQueue, EventQueueStats, EventScheduler, ScheduledEvent};
-pub use fault::FaultKind;
 pub use rng::SimRng;
 pub use stats::{
-    geometric_mean, percent_overhead, relative_slowdown, ConfidenceInterval, EventLoopStats,
-    OnlineStats, RepetitionRunner, Summary,
+    geometric_mean, ConfidenceInterval, EventLoopStats, OnlineStats, RepetitionRunner, Summary,
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceCategory, TraceEvent, TraceSink};

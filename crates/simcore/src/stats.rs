@@ -325,19 +325,6 @@ impl RepetitionRunner {
     }
 }
 
-/// Normalize `measured` against `native`, as the paper's Figures 1-3 do:
-/// the result is the slowdown factor (1.0 = native speed, 2.0 = twice
-/// slower). `measured` and `native` are durations or inverse-throughputs.
-pub fn relative_slowdown(measured: f64, native: f64) -> f64 {
-    assert!(native > 0.0, "native reference must be positive");
-    measured / native
-}
-
-/// Percentage overhead, e.g. 0.15 slowdown -> 15.0.
-pub fn percent_overhead(slowdown: f64) -> f64 {
-    (slowdown - 1.0) * 100.0
-}
-
 /// Geometric mean, used by the NBench-style index computation.
 /// Returns 0 for an empty slice; panics on non-positive entries.
 pub fn geometric_mean(xs: &[f64]) -> f64 {
@@ -461,13 +448,6 @@ mod tests {
         let a = RepetitionRunner::new().base_seed(1);
         let b = RepetitionRunner::new().base_seed(2);
         assert_ne!(a.seed_for(0), b.seed_for(0));
-    }
-
-    #[test]
-    fn normalization_helpers() {
-        assert_eq!(relative_slowdown(150.0, 100.0), 1.5);
-        assert!((percent_overhead(1.15) - 15.0).abs() < 1e-12);
-        assert!((percent_overhead(1.0)).abs() < 1e-12);
     }
 
     #[test]

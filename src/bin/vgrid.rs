@@ -33,13 +33,12 @@ use std::time::Duration;
 use vgrid::args::{parse, FlagSpec, ParsedArgs};
 use vgrid::core::{experiments, obs, Engine, Fidelity};
 use vgrid::grid::{
-    wire, CampaignSpec, ChurnConfig, DeployConfig, PoolConfig, ProjectConfig, RunOptions,
-    SchedulerMode, SubstrateMode,
+    wire, CampaignSpec, ChurnConfig, DeployConfig, ExecutionMode, PoolConfig, ProjectConfig,
+    RunOptions, SchedulerMode, SubstrateMode,
 };
 use vgrid::out::to_stdout;
 use vgrid::serve::{ServeConfig, Server};
 use vgrid::simcore::{SimDuration, SimTime};
-use vgrid::vmm::VmmProfile;
 
 /// The execution-mode switches of the commands that run experiments;
 /// [`run_options`] turns them into one `RunOptions` value.
@@ -160,16 +159,6 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn profile_by_name(name: &str) -> Option<VmmProfile> {
-    match name.to_ascii_lowercase().as_str() {
-        "vmplayer" | "vmware" | "vmwareplayer" => Some(VmmProfile::vmplayer()),
-        "qemu" => Some(VmmProfile::qemu()),
-        "virtualbox" | "vbox" => Some(VmmProfile::virtualbox()),
-        "virtualpc" | "vpc" => Some(VmmProfile::virtualpc()),
-        _ => None,
-    }
-}
-
 /// `campaign --spec`: run one wire-format request document exactly as
 /// the serve worker would, printing (or writing) the manifest.
 fn campaign_from_spec(spec_path: &str, manifest_path: Option<&str>) -> ExitCode {
@@ -218,16 +207,13 @@ fn campaign(p: &ParsedArgs) -> ExitCode {
             return Ok(ExitCode::FAILURE);
         };
         let image_mb: u64 = p.parsed("--image-mb")?.unwrap_or(1400);
-        let mode = p.value("--vm").unwrap_or("native").to_string();
-        let mut deploy = if mode == "native" {
-            DeployConfig::native()
-        } else {
-            match profile_by_name(&mode) {
-                Some(prof) => DeployConfig::vm(prof, image_mb << 20),
-                None => {
-                    eprintln!("unknown monitor '{mode}'");
-                    return Ok(ExitCode::FAILURE);
-                }
+        let mode = p.value("--vm").unwrap_or("native");
+        let mut deploy = match wire::mode_by_name(mode) {
+            Some(ExecutionMode::Native) => DeployConfig::native(),
+            Some(ExecutionMode::Vm(prof)) => DeployConfig::vm(prof, image_mb << 20),
+            None => {
+                eprintln!("unknown monitor '{mode}'");
+                return Ok(ExitCode::FAILURE);
             }
         };
         if p.switch("--migrate") {
@@ -244,7 +230,7 @@ fn campaign(p: &ParsedArgs) -> ExitCode {
             volunteers,
             ..Default::default()
         };
-        let campaign = match CampaignSpec::new(&mode)
+        let campaign = match CampaignSpec::new(mode)
             .project(project)
             .pool(pool)
             .deploy(deploy)

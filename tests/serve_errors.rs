@@ -50,10 +50,14 @@ fn bad_requests_get_typed_errors_and_the_server_stays_up() {
     std::thread::scope(|scope| {
         let server_thread = scope.spawn(move || server.run().expect("server run"));
 
+        let deep = "[".repeat(100_000);
         // (body, expected error kind, message fragment)
         let table: &[(&str, &str, &str)] = &[
             // Truncated JSON: a parse error, not a spec error.
             ("{", "json", "json"),
+            // Deep nesting: a parse error, not a worker stack overflow
+            // that takes the whole server down.
+            (&deep, "json", "nesting deeper than 32 levels"),
             // Valid JSON, wrong protocol version.
             (
                 r#"{"spec_version": 2}"#,

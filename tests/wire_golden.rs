@@ -14,8 +14,9 @@
 //!    request re-parses to the same canonical bytes and the same
 //!    `spec_digest`.
 //! 3. *CLI/server equivalence for free* — both `vgrid campaign --spec`
-//!    and the serve worker call `run_request_json`, so pinning its
-//!    output pins them both.
+//!    and the serve worker run `parse_request` then `run_request`, the
+//!    two halves of `run_request_json`, so pinning its output pins
+//!    them both.
 
 use vgrid::grid::wire;
 
