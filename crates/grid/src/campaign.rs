@@ -484,7 +484,10 @@ mod tests {
         // A reissue deadline reaching past the picosecond range, and
         // owner sessions that never end, schedule events beyond
         // `SimTime::MAX`. They must saturate onto that sentinel, which
-        // no horizon reaches, instead of panicking mid-run.
+        // no horizon reaches, instead of panicking mid-run. A campaign
+        // that cannot finish runs to the `SimTime::MAX` horizon itself:
+        // its flips saturate onto the sentinel too, and must not fire
+        // and re-arm there forever.
         let day = SimTime::from_secs(24 * 3600);
         let long_deadline = CampaignSpec::new("deadline")
             .project(ProjectConfig {
@@ -504,13 +507,29 @@ mod tests {
                 ..ChurnConfig::off()
             })
             .horizon(day);
-        for spec in [long_deadline, endless_owner] {
+        let endless_horizon = CampaignSpec::new("endless horizon")
+            .project(ProjectConfig {
+                workunits: 1,
+                wu_ref_secs: 3e7,
+                deadline: SimDuration::from_secs(18_000_000),
+                ..Default::default()
+            })
+            .pool(PoolConfig {
+                volunteers: 4,
+                ..Default::default()
+            })
+            .horizon(SimTime::MAX);
+        for (spec, horizon) in [
+            (long_deadline, day),
+            (endless_owner, day),
+            (endless_horizon, SimTime::MAX),
+        ] {
             let campaign = spec.build().expect("valid spec");
             let batched = campaign.run();
             let reference = campaign
                 .run_with(&RunOptions::default().substrate(SubstrateMode::HydratedReference));
             assert_eq!(batched.reports(), reference.reports(), "{}", batched.label);
-            assert!(batched.reports()[0].makespan_secs <= day.as_secs_f64());
+            assert!(batched.reports()[0].makespan_secs <= horizon.as_secs_f64());
         }
     }
 

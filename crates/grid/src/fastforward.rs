@@ -179,8 +179,9 @@ pub(crate) fn trajectory_store(key: &str, horizon: SimTime, ckpt: CampaignCheckp
 /// `TaskCopy::issue`, and pop order (front resumes → fresh cursor →
 /// back reissues) is exactly the eager queue's order. The reference
 /// substrate and the `--no-fastforward` arm use [`WorkQueue::eager`],
-/// which reproduces the legacy setup verbatim.
-#[derive(Debug, Clone)]
+/// which reproduces the legacy setup verbatim. The default is the empty
+/// queue a parked host's settled flips see.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct WorkQueue {
     /// Migrated resumes jump the queue (legacy `push_front`).
     front: VecDeque<Work>,

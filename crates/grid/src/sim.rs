@@ -27,6 +27,15 @@
 //! A campaign in flight is one [`Run`]: the mutable [`SimState`], the
 //! event queue and the time of the current event, next to the borrowed
 //! configs. Each event kind has one handler method on it (DESIGN.md §12).
+//!
+//! Without churn or a migration policy, a host that holds the image and
+//! no work while the work queue is empty *parks* on the batched
+//! substrate: its next availability flip is held next to it instead of
+//! being queued, and the same `up`/`down` handlers apply its flips only
+//! where its state is read (a kick handing out work, the loop exit). A
+//! held flip due at the same picosecond as another event has no queue
+//! order, so a campaign that meets one reruns cold with every flip
+//! queued (DESIGN.md §12, "Parked hosts").
 
 use crate::archetype::{self, ArchetypeKey, SegmentSolution};
 use crate::checkpoint::{
@@ -153,6 +162,17 @@ impl HostSlot {
     fn live(&self, gen: u64) -> bool {
         gen == self.life_gen && self.up && !self.excluded
     }
+
+    /// The availability flip that ends this host's current span, as
+    /// host `h`'s event.
+    fn flip(&self, h: usize) -> Ev {
+        let gen = self.life_gen;
+        if self.up {
+            Ev::Down { h, gen }
+        } else {
+            Ev::Up { h, gen }
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -272,13 +292,14 @@ impl<'a> FaultCtx<'a> {
 /// **bit-identical by contract**: they share every piece of
 /// host-stepping logic, the segment solver, the hydration probes and
 /// the transfer price, and differ only in the event queue, in how the
-/// work queue materializes, and in trajectory reuse — all validated by
-/// the `hydration_equivalence` and `hydration_reference` test suites.
+/// work queue materializes, in whether idle hosts' flips are held off
+/// the queue (parked), and in trajectory reuse — all validated by the
+/// `hydration_equivalence` and `hydration_reference` test suites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubstrateMode {
     /// Archetype-batched analytic substrate on the radix-heap event
-    /// queue, with the lazy work queue and the trajectory cache while
-    /// fast-forward is on (the default).
+    /// queue, with the lazy work queue, parked hosts and the trajectory
+    /// cache while fast-forward is on (the default).
     Batched,
     /// Reference substrate: flat binary-heap event queue, eager work
     /// queue, no trajectory reuse (`--hydrated-reference`).
@@ -313,34 +334,84 @@ pub(crate) fn run_campaign_substrate(
         SubstrateMode::Batched => {
             let key = ff.then(|| fastforward::trajectory_key(project, pool, deploy, churn, seed));
             let key = key.as_deref();
-            if let Some((stored, ckpt)) =
-                key.and_then(|k| fastforward::trajectory_lookup(k, horizon))
-            {
-                // Re-scheduling the pending events in pop order
-                // preserves same-instant FIFO ties.
-                let mut q = RadixQueue::new();
-                for (time, ev) in ckpt.pending {
-                    q.schedule(time, ev);
-                }
-                let run = Run {
-                    st: ckpt.state,
-                    q,
-                    now: SimTime::ZERO,
-                    project,
-                    pool,
-                    deploy,
-                    fctx: FaultCtx::new(churn),
-                };
-                return run.finish(horizon, key.filter(|_| stored != horizon));
-            }
-            Run::start(project, pool, deploy, churn, seed, ff, RadixQueue::new())
-                .finish(horizon, key)
+            run_batched(project, pool, deploy, churn, seed, horizon, key).unwrap_or_else(|Tie| {
+                // A held flip met another event of its picosecond: rerun
+                // cold with every flip queued, the eager order itself.
+                let q = RadixQueue::new();
+                let run = Run::start(project, pool, deploy, churn, seed, Defer::Copies, q);
+                run.finish(horizon, key)
+                    .expect("a campaign that parks no host meets no tie")
+            })
         }
         SubstrateMode::HydratedReference => {
-            Run::start(project, pool, deploy, churn, seed, false, EventQueue::new())
-                .finish(horizon, None)
+            let q = EventQueue::new();
+            let run = Run::start(project, pool, deploy, churn, seed, Defer::Nothing, q);
+            run.finish(horizon, None)
+                .expect("a campaign that parks no host meets no tie")
         }
     }
+}
+
+/// One campaign on the batched substrate, parking idle hosts while the
+/// fast-forward trajectory key `key` is given: a resume from the
+/// largest stored prefix, else a cold run. [`Tie`] when a held flip met
+/// another event of its picosecond; nothing is stored then.
+fn run_batched(
+    project: &ProjectConfig,
+    pool: &PoolConfig,
+    deploy: &DeployConfig,
+    churn: &ChurnConfig,
+    seed: u64,
+    horizon: SimTime,
+    key: Option<&str>,
+) -> Result<GridReport, Tie> {
+    if let Some((stored, ckpt)) = key.and_then(|k| fastforward::trajectory_lookup(k, horizon)) {
+        // Re-scheduling the pending events in pop order preserves
+        // same-instant FIFO ties.
+        let mut q = RadixQueue::new();
+        for (time, ev) in ckpt.pending {
+            q.schedule(time, ev);
+        }
+        let run = Run {
+            st: ckpt.state,
+            q,
+            now: SimTime::ZERO,
+            tie: false,
+            project,
+            pool,
+            deploy,
+            fctx: FaultCtx::new(churn),
+        };
+        return run.finish(horizon, key.filter(|_| stored != horizon));
+    }
+    let defer = if key.is_some() {
+        Defer::Flips
+    } else {
+        Defer::Nothing
+    };
+    Run::start(project, pool, deploy, churn, seed, defer, RadixQueue::new()).finish(horizon, key)
+}
+
+/// A campaign whose hosts parked met a held flip due at the same
+/// picosecond as another event it may be ordered against: at a kick, at
+/// the makespan, or popped after a same-instant event once re-queued.
+/// Its outcome may differ from the eager order's, so it is discarded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Tie;
+
+/// What a cold [`Run`] keeps off its up-front setup and its event
+/// queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Defer {
+    /// Nothing: every copy is materialized up front and every flip is
+    /// queued (the reference substrate and `--no-fastforward`).
+    Nothing,
+    /// Fresh copies materialize when a host takes them; every flip is
+    /// queued (the tie fallback).
+    Copies,
+    /// As [`Defer::Copies`], and hosts park while churn and the
+    /// migration policy are off (batched substrate, fast-forward on).
+    Flips,
 }
 
 /// Everything the campaign loop mutates, bundled so the loop exit can
@@ -360,6 +431,7 @@ pub(crate) struct SimState {
     queue: WorkQueue,
     makespan: Option<SimTime>,
     idle: IdleSet,
+    park: Parking,
     /// Checkpoint exports currently crossing the server NIC; each new
     /// export contends with these (migration policy only — always zero
     /// otherwise).
@@ -367,7 +439,8 @@ pub(crate) struct SimState {
 }
 
 /// A campaign trajectory frozen at its loop exit: the full mutable
-/// state plus the event queue's surviving entries in pop order. The
+/// state (parked hosts settled to the exit, their next flips still
+/// held) plus the event queue's surviving entries in pop order. The
 /// first pending entry is the event the break check popped and
 /// discarded — a resume re-pops it first, reproducing the cold run's
 /// tie-breaking exactly.
@@ -393,6 +466,9 @@ struct Run<'a, Q: EventScheduler<Ev>> {
     q: Q,
     /// Time of the event being handled.
     now: SimTime,
+    /// A held flip met another event of its picosecond ([`Tie`]); the
+    /// loop stops at the next pop.
+    tie: bool,
     project: &'a ProjectConfig,
     pool: &'a PoolConfig,
     deploy: &'a DeployConfig,
@@ -401,16 +477,15 @@ struct Run<'a, Q: EventScheduler<Ev>> {
 
 impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
     /// Build a cold campaign: the initial state and the staggered
-    /// power-ons, every random draw in the exact legacy order.
-    /// `lazy_queue` picks the work-queue materialization (batched
-    /// substrate, fast-forward on).
+    /// power-ons, every random draw in the exact legacy order. `defer`
+    /// picks the work-queue materialization and whether hosts park.
     fn start(
         project: &'a ProjectConfig,
         pool: &'a PoolConfig,
         deploy: &'a DeployConfig,
         churn: &'a ChurnConfig,
         seed: u64,
-        lazy_queue: bool,
+        defer: Defer,
         mut q: Q,
     ) -> Self {
         let fctx = FaultCtx::new(churn);
@@ -497,10 +572,10 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
         // are internal lookup keys, so the two schemes are
         // report-identical.
         let mut copies = Vec::new();
-        let queue = if lazy_queue {
-            WorkQueue::lazy(project)
-        } else {
+        let queue = if defer == Defer::Nothing {
             WorkQueue::eager(project, &mut copies)
+        } else {
+            WorkQueue::lazy(project)
         };
 
         // Stagger initial power-ons.
@@ -519,6 +594,13 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
             let speeds: Vec<f64> = hosts.iter().map(|h| h.speed).collect();
             IdleSet::with_speed_order(&speeds)
         };
+        // Churn and the migration audits read idle hosts between their
+        // flips, so only campaigns without either park.
+        let park = if defer == Defer::Flips && !fctx.on && deploy.migration.is_off() {
+            Parking::new(hosts.len())
+        } else {
+            Parking::default()
+        };
 
         Run {
             st: SimState {
@@ -532,10 +614,12 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
                 queue,
                 makespan: None,
                 idle,
+                park,
                 inflight_xfers: 0,
             },
             q,
             now: SimTime::ZERO,
+            tie: false,
             project,
             pool,
             deploy,
@@ -543,13 +627,18 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
         }
     }
 
-    /// Run the loop to its exit, snapshot the loop-exit state into the
-    /// trajectory cache when `store_key` is set, then fold the final
-    /// accounting. Cold and resumed runs both end here. The snapshot is
-    /// taken *before* accounting so a resumed run re-derives the final
-    /// report through the identical code path.
-    fn finish(mut self, horizon: SimTime, store_key: Option<&str>) -> GridReport {
-        let carried = self.run_loop(horizon);
+    /// Run the loop to its exit, settle the parked hosts, snapshot the
+    /// loop-exit state into the trajectory cache when `store_key` is
+    /// set, then fold the final accounting. Cold and resumed runs both
+    /// end here. The snapshot is taken *before* accounting so a resumed
+    /// run re-derives the final report through the identical code path.
+    fn finish(mut self, horizon: SimTime, store_key: Option<&str>) -> Result<GridReport, Tie> {
+        // Schedules past the time range saturate onto `SimTime::MAX`;
+        // the loop stops a picosecond short of it, so such an event
+        // never fires and a flip there never re-arms itself.
+        let last = horizon.min(SimTime::from_picos(SimTime::MAX.as_picos() - 1));
+        let carried = self.run_loop(last);
+        self.settle_parked(last)?;
         if let Some(key) = store_key {
             // Drain the queue in pop order: re-scheduling this sequence
             // into a fresh queue preserves same-instant FIFO ties, so a
@@ -568,18 +657,21 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
                 },
             );
         }
-        finalize(self.st, self.project, self.deploy, horizon)
+        Ok(finalize(self.st, self.project, self.deploy, horizon))
     }
 
-    /// Drive the event loop until the horizon, quorum completion, or
-    /// queue exhaustion. Returns the popped-but-unprocessed event when a
-    /// break check fired (it belongs at the head of any stored
+    /// Drive the event loop until the horizon, quorum completion, queue
+    /// exhaustion or a [`Tie`]. Returns the popped-but-unprocessed event
+    /// when a break check fired (it belongs at the head of any stored
     /// trajectory).
     fn run_loop(&mut self, horizon: SimTime) -> Option<(SimTime, Ev)> {
         while let Some((now, ev)) = self.q.pop() {
             // The makespan is set when the last work unit validates.
             if now > horizon || self.st.makespan.is_some() {
                 return Some((now, ev));
+            }
+            if self.st.park.on && self.tied_at_pop(now, &ev) {
+                return None;
             }
             self.now = now;
             match ev {
@@ -600,6 +692,81 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
             }
         }
         None
+    }
+
+    // -----------------------------------------------------------------
+    // Parked hosts (DESIGN.md §12).
+    // -----------------------------------------------------------------
+
+    /// The pop check of a parking campaign, before the event popped at
+    /// `now` is handled. A re-queued flip carries a newer sequence
+    /// number than the eager run gave it, so an event of its instant
+    /// popped before it may belong after it; events popped after it
+    /// were queued after it and follow it in both runs. Returns whether
+    /// the run has met a tie.
+    fn tied_at_pop(&mut self, now: SimTime, ev: &Ev) -> bool {
+        if let Ev::Up { h, .. } | Ev::Down { h, .. } = *ev {
+            if self.st.park.requeued.contains(h) {
+                self.st.park.requeued.remove(h);
+                // `self.now` still holds the previous pop's time.
+                self.tie |= now == self.now;
+            }
+        }
+        self.tie
+    }
+
+    /// Apply parked host `h`'s held flips due before `t` through the
+    /// `up` and `down` handlers, each at its own time. Each flip parks
+    /// the next one, until the host is excluded or a flip falls at or
+    /// after `t`. The work queue is set aside meanwhile: it was empty at
+    /// every one of those instants.
+    fn settle(&mut self, h: usize, t: SimTime) {
+        let (queue, now) = (std::mem::take(&mut self.st.queue), self.now);
+        while self.st.park.parked.contains(h) && self.st.park.flip_at[h] < t {
+            self.st.park.parked.remove(h);
+            self.now = self.st.park.flip_at[h];
+            let host = &self.st.hosts[h];
+            if host.up {
+                self.down(h, host.life_gen);
+            } else {
+                self.up(h, host.life_gen);
+            }
+        }
+        self.st.queue = queue;
+        self.now = now;
+    }
+
+    /// Put parked host `h`'s held flip back on the event queue.
+    fn unpark(&mut self, h: usize) {
+        let park = &mut self.st.park;
+        park.parked.remove(h);
+        park.requeued.insert(h);
+        self.q.schedule(park.flip_at[h], self.st.hosts[h].flip(h));
+    }
+
+    /// Settle every parked host at the loop exit: its flips up to
+    /// `last`, or before the makespan once that is set. A held or
+    /// re-queued flip due at the makespan's picosecond, drawn before or
+    /// while settling, may have fired before the last validation in the
+    /// eager order: a [`Tie`], like one the loop met.
+    fn settle_parked(&mut self, last: SimTime) -> Result<(), Tie> {
+        if self.tie {
+            return Err(Tie);
+        }
+        let past_last = SimTime::from_picos(last.as_picos() + 1);
+        let end = self.st.makespan.unwrap_or(past_last);
+        let parked: Vec<usize> = self.st.park.parked.iter().collect();
+        for h in parked {
+            self.settle(h, end);
+        }
+        if let Some(m) = self.st.makespan {
+            let park = &self.st.park;
+            let mut held = park.parked.iter().chain(park.requeued.iter());
+            if held.any(|h| park.flip_at[h] == m) {
+                return Err(Tie);
+            }
+        }
+        Ok(())
     }
 
     // -----------------------------------------------------------------
@@ -1010,7 +1177,9 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
     }
 
     /// Draw host `h`'s next availability span (mean `mean`) and schedule
-    /// the flip that ends it. The new `life_gen` retires every event of
+    /// the flip that ends it, or hold it when the host parks: it has the
+    /// image and no activity while the work queue is empty, in a
+    /// campaign that parks. The new `life_gen` retires every event of
     /// the span before; it is returned for arming the new span.
     fn next_span(&mut self, h: usize, mean: f64) -> u64 {
         let host = &mut self.st.hosts[h];
@@ -1022,14 +1191,15 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
             mean,
         );
         host.life_gen += 1;
-        let gen = host.life_gen;
-        let end = if host.up {
-            Ev::Down { h, gen }
+        let at = self.now.saturating_add(SimDuration::from_secs_f64(span));
+        let park = &mut self.st.park;
+        if park.on && host.has_image && host.activity.is_none() && self.st.queue.is_empty() {
+            park.parked.insert(h);
+            park.flip_at[h] = at;
         } else {
-            Ev::Up { h, gen }
-        };
-        self.after_secs(span, end);
-        gen
+            self.q.schedule(at, host.flip(h));
+        }
+        host.life_gen
     }
 
     /// Arm one fault process of host `h`: schedule `ev` an exponential
@@ -1193,19 +1363,35 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
     /// for work at their own transitions. Under churn the server push is
     /// disabled: idle clients poll with exponential backoff instead.
     ///
-    /// Walks the idle set in ascending host id, the hand-out order both
-    /// substrates share, rather than the whole pool. The set is taken
-    /// out for the walk and put back after; handing out work never reads
-    /// it.
+    /// Walks the idle and the parked hosts in ascending host id, the
+    /// hand-out order both substrates share, rather than the whole pool.
+    /// Each parked host it reaches is settled to now first, and goes
+    /// back on the event queue if it takes work. Handling host `h`
+    /// changes no other host's membership, so the walk reads the live
+    /// sets; the hosts it hands work to leave the idle set after it.
+    /// Work still queued after the walk waits for hosts to come up, so
+    /// every parked host goes back on the event queue.
     fn kick(&mut self) {
         if self.fctx.on {
             return;
         }
-        let idle = std::mem::take(&mut self.st.idle);
         let mut kicked: Vec<usize> = Vec::new();
-        for h in idle.iter() {
-            if self.st.queue.is_empty() {
+        let mut from = 0;
+        while !self.st.queue.is_empty() {
+            let Some(h) = self.st.idle.ids.first_in_union(&self.st.park.parked, from) else {
                 break;
+            };
+            from = h + 1;
+            if self.st.park.parked.contains(h) {
+                self.settle(h, self.now);
+                // A flip held for this very picosecond may have fired
+                // before or after the event that kicks.
+                let park = &self.st.park;
+                self.tie |= park.parked.contains(h) && park.flip_at[h] == self.now;
+                if !self.st.hosts[h].idle() {
+                    continue;
+                }
+                self.unpark(h);
             }
             debug_assert!(
                 self.st.hosts[h].idle(),
@@ -1214,9 +1400,14 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
             self.next_activity(h);
             kicked.push(h);
         }
-        self.st.idle = idle;
         for h in kicked {
             self.sync_idle(h);
+        }
+        if !self.st.queue.is_empty() {
+            let parked: Vec<usize> = self.st.park.parked.iter().collect();
+            for h in parked {
+                self.unpark(h);
+            }
         }
     }
 
@@ -1414,16 +1605,69 @@ fn finalize(
     report
 }
 
-/// The idle hosts as one bit per host id. Membership changes on nearly
-/// every event, so insert and remove are single word operations.
-/// [`IdleSet::iter`] runs in ascending host id, the hand-out order of
-/// [`Run::kick`]. Campaigns with a migration policy keep the same set a
-/// second time, one bit per speed rank, so the migration audits can
-/// walk it fastest first ([`IdleSet::fastest_first`]). The default is
-/// the empty set over no hosts.
+/// A set of small integers (host ids, or the speed ranks of
+/// [`SpeedRanks`]), one bit each: insert and remove are single word
+/// operations. A member past the allocated words is never present, so
+/// the default set over nothing is empty for every query.
 #[derive(Debug, Clone, Default)]
+struct BitSet(Vec<u64>);
+
+impl BitSet {
+    /// An empty set over `0..len`.
+    fn new(len: usize) -> Self {
+        BitSet(vec![0; len.div_ceil(64)])
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// Members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            std::iter::successors((word != 0).then_some(word), |&rest| {
+                let rest = rest & (rest - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+        })
+    }
+
+    /// The least member of `self ∪ other` at or after `from`.
+    fn first_in_union(&self, other: &BitSet, from: usize) -> Option<usize> {
+        let word =
+            |w: usize| self.0.get(w).copied().unwrap_or(0) | other.0.get(w).copied().unwrap_or(0);
+        let words = self.0.len().max(other.0.len());
+        let mut w = from / 64;
+        let mut bits = word(w) & (!0u64 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            if w >= words {
+                return None;
+            }
+            bits = word(w);
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+}
+
+/// The idle hosts as one bit per host id. Membership changes on nearly
+/// every event. [`IdleSet::iter`] runs in ascending host id, the
+/// hand-out order of [`Run::kick`]. Campaigns with a migration policy
+/// keep the same set a second time, one bit per speed rank, so the
+/// migration audits can walk it fastest first
+/// ([`IdleSet::fastest_first`]).
+#[derive(Debug, Clone)]
 struct IdleSet {
-    words: Vec<u64>,
+    ids: BitSet,
     by_speed: Option<SpeedRanks>,
 }
 
@@ -1438,14 +1682,14 @@ struct SpeedRanks {
     /// Speed rank → host id.
     host: Arc<[u32]>,
     /// The idle hosts, one bit per speed rank.
-    words: Vec<u64>,
+    ranks: BitSet,
 }
 
 impl IdleSet {
     /// An empty set over host ids `0..hosts`, without a speed order.
     fn new(hosts: usize) -> Self {
         IdleSet {
-            words: vec![0; hosts.div_ceil(64)],
+            ids: BitSet::new(hosts),
             by_speed: None,
         }
     }
@@ -1468,31 +1712,29 @@ impl IdleSet {
             by_speed: Some(SpeedRanks {
                 rank: rank.into(),
                 host: host.into(),
-                words: vec![0; speeds.len().div_ceil(64)],
+                ranks: BitSet::new(speeds.len()),
             }),
             ..IdleSet::new(speeds.len())
         }
     }
 
     fn insert(&mut self, h: usize) {
-        self.words[h / 64] |= 1 << (h % 64);
+        self.ids.insert(h);
         if let Some(s) = &mut self.by_speed {
-            let r = s.rank[h] as usize;
-            s.words[r / 64] |= 1 << (r % 64);
+            s.ranks.insert(s.rank[h] as usize);
         }
     }
 
     fn remove(&mut self, h: usize) {
-        self.words[h / 64] &= !(1 << (h % 64));
+        self.ids.remove(h);
         if let Some(s) = &mut self.by_speed {
-            let r = s.rank[h] as usize;
-            s.words[r / 64] &= !(1 << (r % 64));
+            s.ranks.remove(s.rank[h] as usize);
         }
     }
 
     /// Member host ids in ascending order.
     fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        set_bits(&self.words)
+        self.ids.iter()
     }
 
     /// Member host ids fastest first, equal speeds by ascending id. Only
@@ -1502,19 +1744,38 @@ impl IdleSet {
             .by_speed
             .as_ref()
             .expect("the speed order exists whenever a migration policy is on");
-        set_bits(&s.words).map(|r| s.host[r] as usize)
+        s.ranks.iter().map(|r| s.host[r] as usize)
     }
 }
 
-/// Indices of the set bits of `words`, ascending.
-fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(w, &word)| {
-        std::iter::successors((word != 0).then_some(word), |&rest| {
-            let rest = rest & (rest - 1);
-            (rest != 0).then_some(rest)
-        })
-        .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
-    })
+/// The parked hosts of a campaign (DESIGN.md §12): hosts with the image
+/// and no activity, parked while the work queue was empty, whose next
+/// availability flip is held in `flip_at` instead of the event queue.
+/// The default, for campaigns that do not park, is off and empty.
+#[derive(Debug, Clone, Default)]
+struct Parking {
+    /// The campaign parks: batched substrate with fast-forward on, no
+    /// churn and no migration policy. Decided once, in [`Run::start`].
+    on: bool,
+    /// Hosts whose next flip is held.
+    parked: BitSet,
+    /// Hosts whose held flip went back on the event queue and has not
+    /// popped yet.
+    requeued: BitSet,
+    /// Each parked or re-queued host's next flip time.
+    flip_at: Vec<SimTime>,
+}
+
+impl Parking {
+    /// Parking on, over host ids `0..hosts`, none parked.
+    fn new(hosts: usize) -> Self {
+        Parking {
+            on: true,
+            parked: BitSet::new(hosts),
+            requeued: BitSet::new(hosts),
+            flip_at: vec![SimTime::ZERO; hosts],
+        }
+    }
 }
 
 /// One evacuation audit's question to the idle pool: does a host at
@@ -1610,7 +1871,9 @@ mod tests {
     use super::*;
     use crate::migration::MigrationPolicy;
     use proptest::prelude::*;
-    use vgrid_simcore::DetSet;
+    use std::cell::Cell;
+    use std::rc::Rc;
+    use vgrid_simcore::{DetSet, EventQueueStats};
     use vgrid_vmm::VmmProfile;
 
     #[test]
@@ -1935,6 +2198,133 @@ mod tests {
         // re-breaks immediately and re-derives the identical report.
         assert_eq!(warm(h1), ref1, "exact-horizon resume diverged");
         assert_eq!(warm(h2), ref2, "repeat resume diverged");
+    }
+
+    /// An event queue that counts the events scheduled on it into a
+    /// counter the caller keeps after the run consumes the queue.
+    struct Counting<Q> {
+        inner: Q,
+        scheduled: Rc<Cell<u64>>,
+    }
+
+    impl<Q: EventScheduler<Ev>> EventScheduler<Ev> for Counting<Q> {
+        fn schedule_ranked(&mut self, time: SimTime, rank: u8, event: Ev) -> u64 {
+            self.scheduled.set(self.scheduled.get() + 1);
+            self.inner.schedule_ranked(time, rank, event)
+        }
+        fn cancel(&mut self, seq: u64) -> bool {
+            self.inner.cancel(seq)
+        }
+        fn pop(&mut self) -> Option<(SimTime, Ev)> {
+            self.inner.pop()
+        }
+        fn peek_time(&self) -> Option<SimTime> {
+            self.inner.peek_time()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn now(&self) -> SimTime {
+            self.inner.now()
+        }
+        fn stats(&self) -> EventQueueStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn parked_hosts_schedule_a_tenth_of_the_events_of_a_month() {
+        // The benchmark's 40,000-host month at 1/10 scale: month-long
+        // single-copy work units, a QEMU image, no churn. Once the 40
+        // copies are out, the idle hosts' flips are nearly every event.
+        let project = ProjectConfig {
+            workunits: 40,
+            wu_ref_secs: 1_440_000.0,
+            replication: 1,
+            quorum: 1,
+            deadline: SimDuration::from_secs(30 * 24 * 3600),
+            ..Default::default()
+        };
+        let pool = PoolConfig {
+            volunteers: 4_000,
+            ..Default::default()
+        };
+        let deploy = DeployConfig::vm(VmmProfile::qemu(), 300 << 20);
+        let churn = ChurnConfig::off();
+        let run = |defer| {
+            let scheduled = Rc::new(Cell::new(0));
+            let q = Counting {
+                inner: RadixQueue::new(),
+                scheduled: Rc::clone(&scheduled),
+            };
+            let report = Run::start(&project, &pool, &deploy, &churn, 1, defer, q)
+                .finish(horizon(), None)
+                .expect("no tie in the month");
+            (report, scheduled.get())
+        };
+        let (parked, parked_events) = run(Defer::Flips);
+        let (queued, queued_events) = run(Defer::Copies);
+        assert_eq!(parked, queued);
+        assert!(
+            queued_events >= 10 * parked_events,
+            "parking scheduled {parked_events} events, queuing every flip {queued_events}"
+        );
+    }
+
+    #[test]
+    fn held_flip_ties_fall_back_to_the_eager_order() {
+        // A valid spec whose zero-length downtimes and frequent
+        // rejections put held flips on the picosecond of other events.
+        // Each pinned seed meets one kind of tie, cold and resumed from
+        // a 5 µs prefix: at a kick (9.54 µs), at a re-queued flip's pop
+        // (7.72 µs) and at the makespan (82.87 µs). The parking run
+        // reports it, nothing is stored, and the fallback's report
+        // equals the reference substrate's. Without the fallback the
+        // kick and makespan seeds would report other bytes.
+        let project = ProjectConfig {
+            workunits: 10,
+            wu_ref_secs: 1e-7,
+            wu_input_bytes: 0,
+            wu_output_bytes: 0,
+            error_rate: 0.9,
+            ..Default::default()
+        };
+        let pool = PoolConfig {
+            volunteers: 300,
+            mean_uptime_secs: 1e-6,
+            mean_downtime_secs: 1e-12,
+            ..Default::default()
+        };
+        let deploy = DeployConfig::native();
+        let churn = ChurnConfig::off();
+        let prefix = SimTime::from_secs_f64(5e-6);
+        let horizon = SimTime::from_secs_f64(300e-6);
+        crate::campaign::CampaignSpec::new("ties")
+            .project(project.clone())
+            .pool(pool.clone())
+            .horizon(horizon)
+            .build()
+            .expect("the tie-prone spec is valid");
+        for seed in [579, 1270, 566] {
+            let batched = |h| {
+                let options = RunOptions::default();
+                run_campaign_substrate(&project, &pool, &deploy, &churn, seed, h, &options)
+            };
+            let reference = |h| {
+                let options = RunOptions::default().substrate(SubstrateMode::HydratedReference);
+                run_campaign_substrate(&project, &pool, &deploy, &churn, seed, h, &options)
+            };
+            let key = fastforward::trajectory_key(&project, &pool, &deploy, &churn, seed);
+            let parked = |h| run_batched(&project, &pool, &deploy, &churn, seed, h, Some(&key));
+            assert_eq!(parked(horizon), Err(Tie), "seed {seed} cold");
+            assert_eq!(batched(prefix), reference(prefix), "seed {seed} prefix");
+            assert!(
+                fastforward::trajectory_lookup(&key, horizon).is_some(),
+                "seed {seed}: the prefix run stored no snapshot"
+            );
+            assert_eq!(parked(horizon), Err(Tie), "seed {seed} resumed");
+            assert_eq!(batched(horizon), reference(horizon), "seed {seed} fallback");
+        }
     }
 
     #[test]

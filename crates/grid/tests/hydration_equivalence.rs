@@ -1,13 +1,14 @@
 //! Substrate-equivalence matrix: the archetype-batched substrate must
 //! be bit-identical to the hydrated-reference substrate — every
 //! `GridReport` field and every published metric — across pool sizes
-//! up to 1k hosts, churn on and off, native and VM deployments.
+//! up to 1k hosts, churn on and off, native and VM deployments, and a
+//! mostly idle zero-churn pool whose hosts park.
 
 use vgrid_grid::{
     CampaignSpec, ChurnConfig, DeployConfig, GridReport, PoolConfig, ProjectConfig, RunOptions,
     SubstrateMode,
 };
-use vgrid_simcore::SimTime;
+use vgrid_simcore::{SimDuration, SimTime};
 use vgrid_simobs::MetricsRegistry;
 use vgrid_vmm::VmmProfile;
 
@@ -25,6 +26,35 @@ fn spec(volunteers: u32, churn: ChurnConfig, deploy: DeployConfig) -> CampaignSp
         })
         .deploy(deploy)
         .churn(churn)
+        .seed(0x5eed_0b57)
+        .horizon(SimTime::from_secs(7 * 24 * 3600))
+}
+
+/// A zero-churn pool far larger than its copies, where the batched
+/// substrate parks idle hosts: rejections and deadline reissues kick
+/// them, departed volunteers strand copies, interrupted computations
+/// migrate, and every host fetches a VM image first.
+fn idle_pool_spec() -> CampaignSpec {
+    let mut deploy = DeployConfig::vm(VmmProfile::qemu(), 300 << 20);
+    deploy.migrate_on_churn = true;
+    CampaignSpec::new("equivalence-idle")
+        .project(ProjectConfig {
+            workunits: 10,
+            wu_ref_secs: 6.0 * 3600.0,
+            replication: 1,
+            quorum: 1,
+            deadline: SimDuration::from_secs(24 * 3600),
+            error_rate: 0.5,
+            ..Default::default()
+        })
+        .pool(PoolConfig {
+            volunteers: 400,
+            ram_range: (256 << 20, 2 << 30),
+            permanent_failure_prob: 0.1,
+            ..Default::default()
+        })
+        .deploy(deploy)
+        .churn(ChurnConfig::off())
         .seed(0x5eed_0b57)
         .horizon(SimTime::from_secs(7 * 24 * 3600))
 }
@@ -70,6 +100,14 @@ fn overlap_matrix_is_bit_identical() {
             }
         }
     }
+    let batched = run(idle_pool_spec(), false);
+    let reference = run(idle_pool_spec(), true);
+    assert_eq!(batched, reference, "substrate divergence on the idle pool");
+    assert_eq!(
+        rendered_metrics(&batched),
+        rendered_metrics(&reference),
+        "published metrics diverged on the idle pool",
+    );
 }
 
 #[test]
