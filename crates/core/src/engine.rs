@@ -26,14 +26,14 @@
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
-use crate::parallel::parallel_map;
 use crate::testbed::{install_einstein_vm, Fidelity, KernelLoop};
 use vgrid_grid::{CampaignSpec, ChurnConfig, DeployConfig, PoolConfig, ProjectConfig, RunOptions};
 use vgrid_machine::ops::OpBlock;
 use vgrid_machine::MachineSpec;
 use vgrid_os::{Action, Priority, System, SystemConfig, ThreadBody, ThreadCtx};
 use vgrid_simcore::{
-    DetMap, EventLoopStats, OnlineStats, RepetitionRunner, SimDuration, SimTime, Summary, TraceSink,
+    parallel_map, repetition_seed, DetMap, EventLoopStats, OnlineStats, SimDuration, SimTime,
+    Summary, TraceSink, DEFAULT_BASE_SEED,
 };
 use vgrid_simobs::fnv1a64;
 use vgrid_vmm::{GuestConfig, GuestVm, Vm, VmConfig, VmHandle, VmmProfile, VnicMode};
@@ -162,12 +162,6 @@ impl KernelSpec {
     }
 }
 
-/// Base seed used when a spec does not set one; equals
-/// `RepetitionRunner`'s default so engine trials reproduce the legacy
-/// repetition sweeps bit for bit. Public because run manifests
-/// (`crate::obs`) record it as the run's seed stream anchor.
-pub const DEFAULT_BASE_SEED: u64 = 0xD0A1_57E5_7BED_5EED;
-
 /// A declarative experiment trial: kernel + environment + repetitions.
 #[derive(Debug, Clone)]
 pub struct TrialSpec {
@@ -229,14 +223,7 @@ impl TrialSpec {
     /// figure seeds); repeated trials derive independent per-repetition
     /// streams from it.
     pub fn seed_for(&self, rep: u32) -> u64 {
-        if self.repetitions <= 1 {
-            self.base_seed
-        } else {
-            RepetitionRunner::new()
-                .repetitions(self.repetitions)
-                .base_seed(self.base_seed)
-                .seed_for(rep)
-        }
+        repetition_seed(self.base_seed, self.repetitions, rep)
     }
 
     /// Cache identity: everything but the display label. The scheduler
@@ -792,6 +779,7 @@ fn run_bench_in_env(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vgrid_simcore::RepetitionRunner;
 
     fn assert_send_sync<T: Send + Sync>() {}
 

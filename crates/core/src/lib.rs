@@ -34,7 +34,6 @@
 //! * [`testbed`] — fidelity levels and native/guest run helpers.
 //! * [`figures`] — result containers, ASCII rendering, JSON.
 //! * [`calibration`] — the paper-vs-measured comparison table.
-//! * [`parallel`] — deterministic scoped-thread repetition sweeps.
 
 #![forbid(unsafe_code)]
 
@@ -43,7 +42,6 @@ pub mod engine;
 pub mod experiments;
 pub mod figures;
 pub mod obs;
-pub mod parallel;
 pub mod testbed;
 
 pub use engine::{loop_totals, Engine, Environment, KernelSpec, TrialResult, TrialSpec};

@@ -19,13 +19,13 @@
 
 use std::sync::Mutex;
 
-use crate::engine::{Engine, DEFAULT_BASE_SEED};
+use crate::engine::Engine;
 use crate::experiments;
 use crate::figures::FigureResult;
 use crate::testbed::Fidelity;
 use vgrid_grid::GridReport;
 use vgrid_os::System;
-use vgrid_simcore::{SimTime, TraceEvent};
+use vgrid_simcore::{SimTime, TraceEvent, DEFAULT_BASE_SEED};
 use vgrid_simobs::manifest::config_digest;
 use vgrid_simobs::{ChromeTraceBuilder, MetricsRegistry, RunManifest};
 use vgrid_vmm::VmHandle;

@@ -27,11 +27,9 @@ use crate::faults::ChurnConfig;
 use crate::model::{DeployConfig, GridReport, PoolConfig, ProjectConfig};
 use crate::options::RunOptions;
 use crate::sim::run_campaign_substrate;
-use vgrid_simcore::{OnlineStats, RepetitionRunner, SimTime, Summary};
-
-/// Base seed used when the spec does not set one; matches the engine's
-/// default so unseeded campaigns and unseeded trials agree.
-pub const DEFAULT_SEED: u64 = 0xD0A1_57E5_7BED_5EED;
+use vgrid_simcore::{
+    parallel_map, repetition_seed, OnlineStats, SimTime, Summary, DEFAULT_BASE_SEED,
+};
 
 /// A metric's name and the report value it reads.
 type Metric = (&'static str, fn(&GridReport) -> f64);
@@ -90,7 +88,7 @@ impl CampaignSpec {
             pool: PoolConfig::default(),
             deploy: DeployConfig::native(),
             churn: ChurnConfig::default(),
-            seed: DEFAULT_SEED,
+            seed: DEFAULT_BASE_SEED,
             repetitions: 1,
             horizon: SimTime::from_secs(30 * 24 * 3600),
         }
@@ -244,18 +242,10 @@ impl Campaign {
     }
 
     /// Seed of repetition `rep` — single repetitions use the base seed
-    /// verbatim; multi-rep campaigns derive per-rep seeds exactly like
-    /// the core engine's `TrialSpec`.
+    /// verbatim; multi-rep campaigns derive per-rep seeds by the core
+    /// engine's `TrialSpec` rule, [`repetition_seed`].
     pub fn seed_for(&self, rep: u32) -> u64 {
-        let reps = self.spec.repetitions.max(1);
-        if reps <= 1 {
-            self.spec.seed
-        } else {
-            RepetitionRunner::new()
-                .repetitions(reps)
-                .base_seed(self.spec.seed)
-                .seed_for(rep)
-        }
+        repetition_seed(self.spec.seed, self.spec.repetitions, rep)
     }
 
     fn run_rep(&self, rep: u32, options: &RunOptions) -> GridReport {
@@ -280,24 +270,14 @@ impl Campaign {
         self.run_seq_with(&RunOptions::default())
     }
 
-    /// Run all repetitions on scoped threads; statistics fold in
-    /// repetition order, so the result is bit-identical to
-    /// [`Campaign::run_seq_with`]. The options are a per-call value, so
-    /// concurrent server requests can differ in mode.
+    /// Run the repetitions on at most `available_parallelism` scoped
+    /// threads ([`parallel_map`]); statistics fold in repetition order,
+    /// so the result is bit-identical to [`Campaign::run_seq_with`]. The
+    /// options are a per-call value, so concurrent server requests can
+    /// differ in mode.
     pub fn run_with(&self, options: &RunOptions) -> CampaignResult {
-        let reps = self.spec.repetitions.max(1);
-        if reps == 1 {
-            return self.run_seq_with(options);
-        }
-        let mut reports: Vec<Option<GridReport>> = (0..reps).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (rep, slot) in reports.iter_mut().enumerate() {
-                scope.spawn(move || {
-                    *slot = Some(self.run_rep(rep as u32, options));
-                });
-            }
-        });
-        self.fold(reports.into_iter().map(|r| r.expect("rep ran")).collect())
+        let reps = self.spec.repetitions.max(1) as usize;
+        self.fold(parallel_map(reps, |rep| self.run_rep(rep as u32, options)))
     }
 
     /// Sequential twin of [`Campaign::run_with`]: same seeds, same fold
@@ -436,13 +416,15 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_reps_agree_bitwise() {
+        // More repetitions than a small host has workers.
         let campaign = quick_spec()
             .churn(ChurnConfig::intensity(2.0))
-            .repetitions(4)
+            .repetitions(9)
             .build()
             .unwrap();
         let par = campaign.run();
         let seq = campaign.run_seq();
+        assert_eq!(par.reports(), seq.reports());
         for name in par.metric_names() {
             let (a, b) = (par.metric(name), seq.metric(name));
             assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{name}");

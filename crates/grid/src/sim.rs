@@ -1873,7 +1873,7 @@ mod tests {
     use proptest::prelude::*;
     use std::cell::Cell;
     use std::rc::Rc;
-    use vgrid_simcore::{DetSet, EventQueueStats};
+    use vgrid_simcore::DetSet;
     use vgrid_vmm::VmmProfile;
 
     #[test]
@@ -2208,27 +2208,12 @@ mod tests {
     }
 
     impl<Q: EventScheduler<Ev>> EventScheduler<Ev> for Counting<Q> {
-        fn schedule_ranked(&mut self, time: SimTime, rank: u8, event: Ev) -> u64 {
+        fn schedule(&mut self, time: SimTime, event: Ev) {
             self.scheduled.set(self.scheduled.get() + 1);
-            self.inner.schedule_ranked(time, rank, event)
-        }
-        fn cancel(&mut self, seq: u64) -> bool {
-            self.inner.cancel(seq)
+            self.inner.schedule(time, event)
         }
         fn pop(&mut self) -> Option<(SimTime, Ev)> {
             self.inner.pop()
-        }
-        fn peek_time(&self) -> Option<SimTime> {
-            self.inner.peek_time()
-        }
-        fn len(&self) -> usize {
-            self.inner.len()
-        }
-        fn now(&self) -> SimTime {
-            self.inner.now()
-        }
-        fn stats(&self) -> EventQueueStats {
-            self.inner.stats()
         }
     }
 

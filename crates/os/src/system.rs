@@ -405,11 +405,6 @@ impl System {
         &self.cfg.machine
     }
 
-    /// Number of cores.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Spawn a thread; it becomes ready immediately.
     pub fn spawn(
         &mut self,
@@ -570,12 +565,6 @@ impl System {
             self.trace
                 .emit(self.now, TraceCategory::Fault, format!("kill t{}", tid.0));
         }
-    }
-
-    /// True when `tid` is administratively suspended (including a
-    /// blocked thread that will park on I/O completion).
-    pub fn is_suspended(&self, tid: ThreadId) -> bool {
-        self.threads[tid.0 as usize].suspended
     }
 
     /// Bytes currently committed by reservations.

@@ -11,23 +11,22 @@
 //! relies on to keep its coalesced and per-quantum execution modes
 //! bit-identical.
 
-use crate::detmap::DetSet;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// An event with its due time and tie-breaking rank and sequence number.
 #[derive(Debug, Clone)]
-pub struct ScheduledEvent<E> {
+struct ScheduledEvent<E> {
     /// When the event fires.
-    pub time: SimTime,
+    time: SimTime,
     /// Coarse tie-break among same-time events (lower pops first).
-    pub rank: u8,
+    rank: u8,
     /// Global insertion order; breaks ties among same-time, same-rank
     /// events.
-    pub seq: u64,
+    seq: u64,
     /// The payload.
-    pub event: E,
+    event: E,
 }
 
 impl<E> PartialEq for ScheduledEvent<E> {
@@ -67,70 +66,32 @@ pub struct EventQueueStats {
 }
 
 /// The scheduling surface shared by [`EventQueue`] and
-/// [`RadixQueue`](crate::calendar::RadixQueue): deterministic
-/// `(time, rank, seq)` pop order, lazy cancellation by sequence number
-/// (cancelled entries never count in `len` or `peek_time`), and
-/// identical past-scheduling clamp semantics. The clamp also keeps every
-/// pending time at or after [`now`](Self::now), the monotonicity the
-/// radix heap's bucketing relies on. A simulation written against this
-/// trait can swap the binary heap for the radix heap without observing
-/// any difference in pop order or stats.
+/// [`RadixQueue`](crate::calendar::RadixQueue): events pop in
+/// `(time, schedule order)` order, and a time before the last pop is
+/// clamped to it (debug builds panic, release builds count it). The
+/// clamp keeps every pending time at or after the last pop, the
+/// monotonicity the radix heap's bucketing relies on. A simulation
+/// written against this trait can swap the binary heap for the radix
+/// heap without observing any difference in pop order.
 pub trait EventScheduler<E> {
-    /// Schedule `event` at absolute `time` with rank 0; returns the
-    /// assigned sequence number.
-    fn schedule(&mut self, time: SimTime, event: E) -> u64 {
-        self.schedule_ranked(time, 0, event)
-    }
+    /// Schedule `event` at absolute `time`.
+    fn schedule(&mut self, time: SimTime, event: E);
 
-    /// Schedule with an explicit same-instant rank: among events due at
-    /// the same time, lower ranks pop first, FIFO within a rank.
-    fn schedule_ranked(&mut self, time: SimTime, rank: u8, event: E) -> u64;
-
-    /// Cancel a pending event by the seq its schedule call returned.
-    /// Returns `true` when a tombstone was newly recorded. Cancelling a
-    /// seq that is no longer pending is a caller logic error: seqs that
-    /// were never issued or already cancelled return `false`, but an
-    /// already-popped seq cannot be detected and would leave a stale
-    /// tombstone skewing [`len`](Self::len).
-    fn cancel(&mut self, seq: u64) -> bool;
-
-    /// Remove and return the earliest live event, advancing "now".
+    /// Remove and return the earliest event, advancing "now".
     fn pop(&mut self) -> Option<(SimTime, E)>;
-
-    /// The due time of the earliest live event, if any.
-    fn peek_time(&self) -> Option<SimTime>;
-
-    /// Number of pending (non-cancelled) events.
-    fn len(&self) -> usize;
-
-    /// True when no live events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The time of the most recently popped event (the queue's "now").
-    fn now(&self) -> SimTime;
-
-    /// Lifetime schedule/clamp counters.
-    fn stats(&self) -> EventQueueStats;
 }
 
 /// A deterministic future-event list.
 ///
-/// Events pop in `(time, insertion order)` order. Scheduling in the past is
-/// a logic error and panics in debug builds (it indicates a broken causal
-/// chain in a component model); in release builds the event is clamped to
-/// "now" as tracked by the last pop.
-///
-/// Cancellation is lazy: [`EventQueue::cancel`] records a tombstone and
-/// the queue drains dead heads eagerly, so `peek_time`/`pop` never
-/// observe a cancelled event.
+/// Events pop in `(time, rank, insertion order)` order. Scheduling in the
+/// past is a logic error and panics in debug builds (it indicates a
+/// broken causal chain in a component model); in release builds the
+/// event is clamped to "now" as tracked by the last pop.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
     last_popped: SimTime,
-    cancelled: DetSet<u64>,
     clamped: u64,
 }
 
@@ -147,23 +108,19 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             last_popped: SimTime::ZERO,
-            cancelled: DetSet::new(),
             clamped: 0,
         }
     }
 
     /// Schedule `event` to fire at absolute time `time` with rank 0.
-    ///
-    /// Returns the sequence number assigned to the event, which can be used
-    /// by callers implementing cancellation via generation counters.
-    pub fn schedule(&mut self, time: SimTime, event: E) -> u64 {
+    pub fn schedule(&mut self, time: SimTime, event: E) {
         self.schedule_ranked(time, 0, event)
     }
 
     /// Schedule `event` at `time` with an explicit same-instant rank:
     /// among events due at the same time, lower ranks pop first, FIFO
     /// within a rank.
-    pub fn schedule_ranked(&mut self, time: SimTime, rank: u8, event: E) -> u64 {
+    pub fn schedule_ranked(&mut self, time: SimTime, rank: u8, event: E) {
         debug_assert!(
             time >= self.last_popped,
             "event scheduled in the past: {} < {}",
@@ -182,7 +139,6 @@ impl<E> EventQueue<E> {
             seq,
             event,
         });
-        seq
     }
 
     /// Lifetime counters: how many events were scheduled, and how many of
@@ -195,43 +151,12 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Cancel a pending event by seq (see [`EventScheduler::cancel`] for
-    /// the contract). The head is drained eagerly so `peek_time` stays
-    /// accurate.
-    pub fn cancel(&mut self, seq: u64) -> bool {
-        if seq >= self.next_seq || !self.cancelled.insert(seq) {
-            return false;
-        }
-        self.drain_cancelled_head();
-        true
-    }
-
-    /// Drop cancelled events sitting at the head so peek/pop only ever
-    /// see live events. Does not advance "now".
-    fn drain_cancelled_head(&mut self) {
-        while let Some(head) = self.heap.peek() {
-            if !self.cancelled.contains(&head.seq) {
-                break;
-            }
-            let dead = self.heap.pop().expect("peeked head exists");
-            self.cancelled.remove(&dead.seq);
-        }
-    }
-
     /// Remove and return the earliest event, advancing the queue's notion
     /// of "now".
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // The head is never cancelled (cancel() and pop() both drain
-        // dead heads), but stay defensive.
-        let ev = loop {
-            let ev = self.heap.pop()?;
-            if !self.cancelled.remove(&ev.seq) {
-                break ev;
-            }
-        };
+        let ev = self.heap.pop()?;
         debug_assert!(ev.time >= self.last_popped, "event queue went backwards");
         self.last_popped = ev.time;
-        self.drain_cancelled_head();
         Some((ev.time, ev.event))
     }
 
@@ -239,56 +164,15 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
     }
-
-    /// Number of pending (non-cancelled) events.
-    pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The time of the most recently popped event (the queue's "now").
-    pub fn now(&self) -> SimTime {
-        self.last_popped
-    }
-
-    /// Drop all pending events, keeping the current time.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.cancelled.clear();
-    }
 }
 
 impl<E> EventScheduler<E> for EventQueue<E> {
-    fn schedule_ranked(&mut self, time: SimTime, rank: u8, event: E) -> u64 {
-        EventQueue::schedule_ranked(self, time, rank, event)
-    }
-
-    fn cancel(&mut self, seq: u64) -> bool {
-        EventQueue::cancel(self, seq)
+    fn schedule(&mut self, time: SimTime, event: E) {
+        EventQueue::schedule(self, time, event)
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
         EventQueue::pop(self)
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-
-    fn now(&self) -> SimTime {
-        EventQueue::now(self)
-    }
-
-    fn stats(&self) -> EventQueueStats {
-        EventQueue::stats(self)
     }
 }
 
@@ -325,9 +209,10 @@ mod tests {
     fn interleaved_schedule_pop() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(1), 1);
-        assert_eq!(q.pop().unwrap(), (SimTime::from_secs(1), 1));
+        let (now, ev) = q.pop().unwrap();
+        assert_eq!((now, ev), (SimTime::from_secs(1), 1));
         // Scheduling relative to "now" keeps working.
-        q.schedule(q.now() + SimDuration::from_secs(1), 2);
+        q.schedule(now + SimDuration::from_secs(1), 2);
         assert_eq!(q.pop().unwrap(), (SimTime::from_secs(2), 2));
     }
 
@@ -340,17 +225,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(2)));
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_nanos(2));
-    }
-
-    #[test]
-    fn len_and_clear() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), ());
-        q.schedule(SimTime::from_secs(2), ());
-        assert_eq!(q.len(), 2);
-        assert!(!q.is_empty());
-        q.clear();
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -400,54 +274,16 @@ mod tests {
     }
 
     #[test]
-    fn cancel_skips_events_and_keeps_peek_accurate() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), "a");
-        let b = q.schedule(SimTime::from_secs(2), "b");
-        let c = q.schedule(SimTime::from_secs(3), "c");
-        assert_eq!(q.len(), 3);
-        // Cancelling the head drains it immediately.
-        assert!(q.cancel(a));
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-        // Cancelling mid-queue is lazy but never observable.
-        assert!(q.cancel(c));
-        // Double-cancel of a still-pending tombstone and never-issued
-        // seqs report false.
-        assert!(!q.cancel(c));
-        assert!(!q.cancel(999));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "b");
-        let _ = b;
-        assert!(q.pop().is_none());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancelled_head_does_not_advance_now() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(5), "a");
-        q.schedule(SimTime::from_secs(9), "b");
-        q.cancel(a);
-        assert_eq!(q.now(), SimTime::ZERO);
-        // Scheduling before the cancelled event's time is still legal.
-        q.schedule(SimTime::from_secs(1), "c");
-        assert_eq!(q.pop().unwrap().1, "c");
-        assert_eq!(q.pop().unwrap().1, "b");
-    }
-
-    #[test]
     fn trait_object_matches_inherent_behavior() {
         let q: &mut dyn EventScheduler<&str> = &mut EventQueue::new();
         let t = SimTime::from_secs(1);
-        q.schedule_ranked(t, 1, "slice");
         q.schedule(t, "wake");
-        let dead = q.schedule(t, "dead");
-        assert!(q.cancel(dead));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap().1, "wake");
-        assert_eq!(q.pop().unwrap().1, "slice");
-        assert_eq!(q.now(), t);
-        assert_eq!(q.stats().scheduled, 3);
+        q.schedule(SimTime::ZERO, "boot");
+        q.schedule(t, "slice");
+        assert_eq!(q.pop(), Some((SimTime::ZERO, "boot")));
+        assert_eq!(q.pop(), Some((t, "wake")));
+        assert_eq!(q.pop(), Some((t, "slice")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!   in the time base itself.
 //! * [`EventQueue`] breaks ties by insertion sequence number, so two events
 //!   scheduled for the same instant always pop in the order they were
-//!   pushed. [`RadixQueue`], the monotone radix heap the grid campaign
-//!   loop runs on, pops in exactly the same `(time, rank, seq)` order;
-//!   both implement [`EventScheduler`].
+//!   pushed (after an optional same-instant rank). [`RadixQueue`], the
+//!   monotone radix heap the grid campaign loop runs on, has no ranks
+//!   and pops in `(time, schedule order)`, the flat queue's order for
+//!   rank-0 events; both implement [`EventScheduler`].
 //! * [`rng::SimRng`] is a seedable xoshiro256++ generator with SplitMix64
 //!   seeding; streams can be forked deterministically per component.
 //!
@@ -41,6 +42,7 @@
 pub mod calendar;
 pub mod detmap;
 pub mod event;
+pub mod parallel;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -48,10 +50,12 @@ pub mod trace;
 
 pub use calendar::RadixQueue;
 pub use detmap::{DetMap, DetSet};
-pub use event::{EventQueue, EventQueueStats, EventScheduler, ScheduledEvent};
+pub use event::{EventQueue, EventQueueStats, EventScheduler};
+pub use parallel::parallel_map;
 pub use rng::SimRng;
 pub use stats::{
-    geometric_mean, ConfidenceInterval, EventLoopStats, OnlineStats, RepetitionRunner, Summary,
+    geometric_mean, repetition_seed, ConfidenceInterval, EventLoopStats, OnlineStats,
+    RepetitionRunner, Summary, DEFAULT_BASE_SEED,
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceCategory, TraceEvent, TraceSink};

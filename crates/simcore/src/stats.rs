@@ -256,6 +256,23 @@ impl Summary {
     }
 }
 
+/// Base seed of every repetition stream that sets none: the
+/// [`RepetitionRunner`] default, the engine's trials and the grid's
+/// campaigns, so unseeded trials and campaigns agree.
+pub const DEFAULT_BASE_SEED: u64 = 0xD0A1_57E5_7BED_5EED;
+
+/// Seed of repetition `rep` of a `repetitions`-long stream from
+/// `base_seed`. A single repetition uses the base seed verbatim (it pins
+/// one specific simulation); repeated runs derive independent
+/// per-repetition seeds with [`RepetitionRunner::seed_for`].
+pub fn repetition_seed(base_seed: u64, repetitions: u32, rep: u32) -> u64 {
+    if repetitions <= 1 {
+        base_seed
+    } else {
+        RepetitionRunner::new().base_seed(base_seed).seed_for(rep)
+    }
+}
+
 /// Runs a seeded experiment closure a configurable number of times
 /// (default 50, matching the paper's methodology) and accumulates the
 /// scalar metric each run produces.
@@ -273,7 +290,7 @@ impl Default for RepetitionRunner {
     fn default() -> Self {
         RepetitionRunner {
             repetitions: 50,
-            base_seed: 0xD0A1_57E5_7BED_5EED,
+            base_seed: DEFAULT_BASE_SEED,
         }
     }
 }
@@ -294,11 +311,6 @@ impl RepetitionRunner {
     pub fn base_seed(mut self, seed: u64) -> Self {
         self.base_seed = seed;
         self
-    }
-
-    /// Number of repetitions configured.
-    pub fn count(&self) -> u32 {
-        self.repetitions
     }
 
     /// Seed for repetition `rep`.

@@ -50,15 +50,6 @@ pub struct MatrixKernel {
 }
 
 impl MatrixKernel {
-    /// The paper's two sizes.
-    pub fn paper_small() -> Self {
-        MatrixKernel { n: 512, seed: 1 }
-    }
-    /// 1024 x 1024.
-    pub fn paper_large() -> Self {
-        MatrixKernel { n: 1024, seed: 1 }
-    }
-
     /// Characterize at full size by running the real kernel at a reduced
     /// size and scaling counts cubically (exact for the naive algorithm).
     pub fn characterize_scaled(&self) -> OpBlock {
