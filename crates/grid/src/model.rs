@@ -132,6 +132,8 @@ pub struct DeployConfig {
     pub mode: ExecutionMode,
     /// VM image ("initialization workunit") size; Gonzalez et al. used
     /// 1.4 GB, the paper suggests small distributions can halve RAM use.
+    /// A native deploy fetches no image: `CampaignSpec::build` rejects
+    /// any value but 0 there.
     pub image_bytes: u64,
     /// Checkpoint interval (host time).
     pub checkpoint_interval: SimDuration,

@@ -13,7 +13,7 @@
 //! | rule id                 | what it checks                                                |
 //! |-------------------------|---------------------------------------------------------------|
 //! | `hash-collections`      | no `HashMap`/`HashSet` in sim crates (iteration-order entropy) |
-//! | `wall-clock`            | no `Instant::now`/`SystemTime` outside the criterion/timeref shims |
+//! | `wall-clock`            | no `Instant::now`/`SystemTime` outside the criterion shim     |
 //! | `ambient-entropy`       | no `thread_rng`/`OsRng`/`getrandom`/`from_entropy` outside `simcore::rng` |
 //! | `unstable-sort`         | no `sort_unstable*` without an explicit key-totality pragma   |
 //! | `substrate-collections` | no raw `BTreeMap`/`BTreeSet` in the grid host substrate       |
@@ -77,9 +77,9 @@ pub const SIM_CRATES: &[&str] = &[
 ];
 
 /// Crates allowed to read host wall-clock time: the in-repo criterion
-/// shim (benchmarks the simulator itself) and the external
-/// time-reference model.
-pub const WALL_CLOCK_SHIMS: &[&str] = &["criterion", "timeref"];
+/// shim, which benchmarks the simulator itself. `timeref` models the
+/// external time reference in simulated time and reads no clock.
+pub const WALL_CLOCK_SHIMS: &[&str] = &["criterion"];
 
 /// The one file allowed to define entropy plumbing: the seedable
 /// simulation RNG.
@@ -212,7 +212,7 @@ impl Rule {
     pub fn describe(self) -> &'static str {
         match self {
             Rule::HashCollections => "no HashMap/HashSet in sim crates",
-            Rule::WallClock => "no Instant::now/SystemTime outside criterion/timeref",
+            Rule::WallClock => "no Instant::now/SystemTime outside the criterion shim",
             Rule::AmbientEntropy => "no thread_rng/OsRng/getrandom outside simcore::rng",
             Rule::UnstableSort => "no sort_unstable* without a key-totality pragma",
             Rule::SubstrateCollections => "no raw BTreeMap/BTreeSet in the grid host substrate",
@@ -557,7 +557,7 @@ pub fn lint(files: &[SourceFile]) -> Vec<Diagnostic> {
                 "SystemTime" if !in_wall_clock_shim(path) => push(
                     t.line,
                     Rule::WallClock,
-                    "host wall-clock reads are banned outside the criterion/timeref shims; \
+                    "host wall-clock reads are banned outside the criterion shim; \
                      simulated time comes from `vgrid_simcore::SimTime`"
                         .to_string(),
                     &mut diags,
@@ -571,7 +571,7 @@ pub fn lint(files: &[SourceFile]) -> Vec<Diagnostic> {
                     push(
                         t.line,
                         Rule::WallClock,
-                        "host wall-clock reads are banned outside the criterion/timeref shims; \
+                        "host wall-clock reads are banned outside the criterion shim; \
                          simulated time comes from `vgrid_simcore::SimTime`"
                             .to_string(),
                         &mut diags,

@@ -98,10 +98,8 @@ impl VmConfig {
 /// Handle to an installed VM.
 #[derive(Debug)]
 pub struct VmHandle {
-    /// The first vCPU host thread (guests default to one vCPU).
+    /// The vCPU host thread.
     pub vcpu: ThreadId,
-    /// All vCPU host threads (virtual SMP guests have several).
-    pub vcpus: Vec<ThreadId>,
     /// The service host thread.
     pub service: ThreadId,
     /// Shared control block.
@@ -154,24 +152,20 @@ impl VmHandle {
     }
 
     /// Freeze the whole VM (owner-preemption fault: the monitor is
-    /// paused, not destroyed). Every vCPU and the service thread stop
+    /// paused, not destroyed). The vCPU and the service thread stop
     /// consuming host CPU; guest state — RAM commitment included — is
     /// retained, so [`VmHandle::resume`] continues without loss. This is
     /// the paper's argued VM advantage over a native science process,
     /// which would have to roll back to its last checkpoint instead.
     pub fn suspend(&self, sys: &mut System) {
-        for &v in &self.vcpus {
-            sys.suspend_thread(v);
-        }
+        sys.suspend_thread(self.vcpu);
         sys.suspend_thread(self.service);
     }
 
     /// Undo [`VmHandle::suspend`]: the VM's threads rejoin the ready
     /// queues and the guest picks up exactly where it stopped.
     pub fn resume(&self, sys: &mut System) {
-        for &v in &self.vcpus {
-            sys.resume_thread(v);
-        }
+        sys.resume_thread(self.vcpu);
         sys.resume_thread(self.service);
     }
 
@@ -189,9 +183,7 @@ impl VmHandle {
             c.killed = true;
             c.power_off = true;
         }
-        for &v in &self.vcpus {
-            sys.kill_thread(v);
-        }
+        sys.kill_thread(self.vcpu);
         sys.kill_thread(self.service);
         sys.release_memory(self.committed_memory);
     }
@@ -201,7 +193,7 @@ impl VmHandle {
 pub struct Vm;
 
 impl Vm {
-    /// Install a VM: spawns one host thread per vCPU plus the service
+    /// Install a VM: spawns the vCPU host thread and the service
     /// thread in `sys`. Panics if the host cannot commit the guest RAM;
     /// use [`Vm::try_install`] to handle that case.
     pub fn install(sys: &mut System, cfg: VmConfig, guest: GuestVm) -> VmHandle {
@@ -228,18 +220,12 @@ impl Vm {
         let committed = profile.guest_ram;
         // The monitor commits the configured guest RAM up front.
         sys.commit_memory(committed)?;
-        let n_vcpus = guest.vcpu_count();
         let ops_per_sec = sys.machine().cpu.freq_hz as f64 * sys.machine().cpu.int_ops_per_cycle;
-        let guest = Rc::new(RefCell::new(guest));
-        let vcpus: Vec<ThreadId> = (0..n_vcpus)
-            .map(|v| {
-                sys.spawn(
-                    format!("{}-vcpu{v}", cfg.name),
-                    cfg.vcpu_priority,
-                    Box::new(VcpuBody::new(guest.clone(), v, &cfg, control.clone())),
-                )
-            })
-            .collect();
+        let vcpu = sys.spawn(
+            format!("{}-vcpu0", cfg.name),
+            cfg.vcpu_priority,
+            Box::new(VcpuBody::new(guest, &cfg, control.clone())),
+        );
         let service = sys.spawn(
             format!("{}-svc", cfg.name),
             Priority::High,
@@ -249,10 +235,9 @@ impl Vm {
         // device work) executes on the CPU holding the VM's hot state:
         // steer it toward the vCPU's core so an otherwise-idle core is
         // not needlessly disturbed (Figure 5/6 behaviour).
-        sys.set_buddy(service, vcpus[0]);
+        sys.set_buddy(service, vcpu);
         Ok(VmHandle {
-            vcpu: vcpus[0],
-            vcpus,
+            vcpu,
             service,
             control,
             committed_memory: committed,
@@ -309,13 +294,10 @@ enum NetOpKind {
     },
 }
 
-/// The vCPU host thread body. SMP guests spawn one per virtual CPU, all
-/// sharing the nested guest kernel (safe: the host simulation is single-
-/// threaded, so borrows never overlap).
+/// The vCPU host thread body; it owns the nested guest kernel.
 #[derive(Debug)]
 pub struct VcpuBody {
-    guest: Rc<RefCell<GuestVm>>,
-    vcpu: usize,
+    guest: GuestVm,
     image_path: String,
     image: Option<FileId>,
     ckpt_file: Option<FileId>,
@@ -328,15 +310,9 @@ pub struct VcpuBody {
 }
 
 impl VcpuBody {
-    fn new(
-        guest: Rc<RefCell<GuestVm>>,
-        vcpu: usize,
-        cfg: &VmConfig,
-        control: Rc<RefCell<VmControl>>,
-    ) -> Self {
+    fn new(guest: GuestVm, cfg: &VmConfig, control: Rc<RefCell<VmControl>>) -> Self {
         VcpuBody {
             guest,
-            vcpu,
             image_path: cfg.image_path.clone(),
             image: None,
             ckpt_file: None,
@@ -373,21 +349,18 @@ impl ThreadBody for VcpuBody {
                 }
                 VPhase::Drive => {
                     {
-                        let guest = self.guest.borrow();
                         let mut c = self.control.borrow_mut();
-                        c.guest_clock_lag_secs = guest.clock.total_lag().as_secs_f64();
-                        c.guest_clock_loss_events = guest.clock.loss_events;
+                        c.guest_clock_lag_secs = self.guest.clock.total_lag().as_secs_f64();
+                        c.guest_clock_loss_events = self.guest.clock.loss_events;
                         if c.power_off {
                             return Action::Exit;
                         }
                         if let Some(path) = c.checkpoint_request.take() {
-                            drop(c);
-                            drop(guest);
                             self.phase = VPhase::CkptOpen { path };
                             continue;
                         }
                     }
-                    let step = self.guest.borrow_mut().step_full(self.vcpu, ctx.now);
+                    let step = self.guest.step(ctx.now);
                     match step {
                         GuestStep::Compute(block) => {
                             self.phase = VPhase::Computing;
@@ -414,7 +387,7 @@ impl ThreadBody for VcpuBody {
                                 // Per-frame NAT translation work is what the
                                 // profiles charge for; count the frames it
                                 // covered (bridged vNICs translate nothing).
-                                let guest = self.guest.borrow();
+                                let guest = &self.guest;
                                 if guest.vnic_mode() == VnicMode::Nat {
                                     if let GuestNetOp::Send { bytes, .. }
                                     | GuestNetOp::Recv { bytes, .. } = &op
@@ -463,9 +436,7 @@ impl ThreadBody for VcpuBody {
                     }
                 }
                 VPhase::Computing => {
-                    self.guest
-                        .borrow_mut()
-                        .complete_compute(self.vcpu, ctx.now, serviced);
+                    self.guest.complete_compute(ctx.now, serviced);
                     self.phase = VPhase::Drive;
                     ctx.result = ActionResult::None;
                     continue;
@@ -493,7 +464,7 @@ impl ThreadBody for VcpuBody {
                     };
                 }
                 VPhase::DiskIo => {
-                    self.guest.borrow_mut().complete_io(self.vcpu, ctx.now);
+                    self.guest.complete_io(ctx.now);
                     self.phase = VPhase::Drive;
                     ctx.result = ActionResult::None;
                     continue;
@@ -545,7 +516,7 @@ impl ThreadBody for VcpuBody {
                         };
                         self.conn_map.insert(*guest_conn, host);
                     }
-                    self.guest.borrow_mut().complete_io(self.vcpu, ctx.now);
+                    self.guest.complete_io(ctx.now);
                     self.phase = VPhase::Drive;
                     ctx.result = ActionResult::None;
                     continue;
@@ -554,7 +525,7 @@ impl ThreadBody for VcpuBody {
                     if let ActionResult::Opened(id) = ctx.result {
                         self.ckpt_file = Some(id);
                         self.phase = VPhase::CkptWrite {
-                            remaining: self.guest.borrow().profile().guest_ram,
+                            remaining: self.guest.profile().guest_ram,
                         };
                         ctx.result = ActionResult::None;
                         continue;

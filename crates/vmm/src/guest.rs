@@ -31,23 +31,23 @@ use vgrid_os::{Action, ActionResult, ConnId, RemoteHost, ThreadBody, ThreadCtx, 
 use vgrid_simcore::{SimDuration, SimRng, SimTime};
 use vgrid_timeref::{GuestClock, GuestClockConfig};
 
+/// Guest scheduler quantum.
+const QUANTUM: SimDuration = SimDuration::from_millis(20);
+
+/// Maximum guest compute chunk surfaced per step (bounds how long the
+/// guest runs between clock/scheduler bookkeeping points).
+const CHUNK: SimDuration = SimDuration::from_millis(5);
+
+/// Seed for guest-side randomness.
+const SEED: u64 = 0x6e57;
+
 /// Guest construction parameters.
 #[derive(Debug, Clone)]
 pub struct GuestConfig {
     /// The monitor hosting this guest.
     pub profile: VmmProfile,
-    /// Number of virtual CPUs (the paper's guests use 1; VMware Player
-    /// of the era supported 2-way virtual SMP).
-    pub vcpus: u32,
     /// vNIC attachment mode.
     pub vnic_mode: VnicMode,
-    /// Guest scheduler quantum.
-    pub quantum: SimDuration,
-    /// Maximum guest compute chunk surfaced per step (bounds how long the
-    /// guest runs between clock/scheduler bookkeeping points).
-    pub chunk: SimDuration,
-    /// Seed for guest-side randomness.
-    pub seed: u64,
 }
 
 impl GuestConfig {
@@ -55,20 +55,7 @@ impl GuestConfig {
     /// Ubuntu guest, default vNIC mode of the product).
     pub fn new(profile: VmmProfile) -> Self {
         let vnic_mode = profile.default_vnic;
-        GuestConfig {
-            profile,
-            vcpus: 1,
-            vnic_mode,
-            quantum: SimDuration::from_millis(20),
-            chunk: SimDuration::from_millis(5),
-            seed: 0x6e57,
-        }
-    }
-
-    /// Configure a virtual SMP guest with `n` vCPUs.
-    pub fn with_vcpus(mut self, n: u32) -> Self {
-        self.vcpus = n.max(1);
-        self
+        GuestConfig { profile, vnic_mode }
     }
 
     /// Override the vNIC mode (the paper measures VmPlayer both bridged
@@ -221,21 +208,9 @@ enum PendingHost {
         reqs: VecDeque<DiskRequest>,
         result: ActionResult,
     },
-    Net {
-        tid: usize,
-    },
-}
-
-/// Per-virtual-CPU execution state.
-#[derive(Debug, Default)]
-struct VcpuState {
-    /// Guest thread currently bound to this vCPU.
-    current: Option<usize>,
-    /// Host operation this vCPU has escaped to, if any.
-    pending_host: Option<PendingHost>,
-    /// Parameters of the network operation currently escaped to the host
-    /// (present iff `pending_host` is `PendingHost::Net`).
-    pending_net_kind: Option<NetKind>,
+    /// The network operation escaped to the host; its guest-side
+    /// result is delivered on completion.
+    Net { tid: usize, kind: NetKind },
 }
 
 /// The nested guest kernel.
@@ -251,7 +226,10 @@ pub struct GuestVm {
     pub clock: GuestClock,
     threads: Vec<GThread>,
     ready: VecDeque<usize>,
-    vcpus: Vec<VcpuState>,
+    /// Guest thread currently bound to the vCPU.
+    current: Option<usize>,
+    /// Host operation the vCPU has escaped to, if any.
+    pending_host: Option<PendingHost>,
     rng: SimRng,
 }
 
@@ -278,10 +256,7 @@ impl GuestVm {
             loss_fraction: cfg.profile.tick_loss,
             ..Default::default()
         });
-        let rng = SimRng::new(cfg.seed);
-        let vcpus = (0..cfg.vcpus.max(1))
-            .map(|_| VcpuState::default())
-            .collect();
+        let rng = SimRng::new(SEED);
         GuestVm {
             cfg,
             cpu,
@@ -291,14 +266,10 @@ impl GuestVm {
             clock,
             threads: Vec::new(),
             ready: VecDeque::new(),
-            vcpus,
+            current: None,
+            pending_host: None,
             rng,
         }
-    }
-
-    /// Number of virtual CPUs.
-    pub fn vcpu_count(&self) -> usize {
-        self.vcpus.len()
     }
 
     /// The profile of the hosting monitor.
@@ -328,7 +299,7 @@ impl GuestVm {
             exec: None,
             state: GState::Ready,
             rng,
-            quantum_left: self.cfg.quantum,
+            quantum_left: QUANTUM,
             cpu_time: SimDuration::ZERO,
             wake_at: None,
             joiners: Vec::new(),
@@ -347,12 +318,16 @@ impl GuestVm {
         !self.threads.is_empty() && self.threads.iter().all(|t| t.state == GState::Exited)
     }
 
-    /// Ask the guest what vCPU `v` should do next. Must not be called
-    /// while that vCPU has a compute piece or host operation outstanding.
-    pub fn step(&mut self, v: usize, host_now: SimTime) -> GuestStep {
+    /// Ask the guest what the vCPU should do next. Must not be called
+    /// while a compute piece is outstanding; a pending network escape
+    /// is surfaced again until [`GuestVm::complete_io`].
+    pub fn step(&mut self, host_now: SimTime) -> GuestStep {
+        if let Some(PendingHost::Net { kind, .. }) = &self.pending_host {
+            return GuestStep::Net(self.net_step_for(kind));
+        }
         self.clock.observe(host_now);
         // Outstanding host work queue first (multi-request FS plans).
-        if let Some(step) = self.pending_host_step(v) {
+        if let Some(step) = self.pending_host_step() {
             return step;
         }
         // Wake sleepers.
@@ -368,18 +343,18 @@ impl GuestVm {
                 }
             }
         }
-        // Ensure a current thread on this vCPU.
-        if self.vcpus[v].current.is_none() {
-            self.vcpus[v].current = self.ready.pop_front();
-            if let Some(idx) = self.vcpus[v].current {
+        // Ensure a current thread on the vCPU.
+        if self.current.is_none() {
+            self.current = self.ready.pop_front();
+            if let Some(idx) = self.current {
                 let th = &mut self.threads[idx];
                 th.state = GState::Running;
                 if th.quantum_left <= SimDuration::from_nanos(1) {
-                    th.quantum_left = self.cfg.quantum;
+                    th.quantum_left = QUANTUM;
                 }
             }
         }
-        let Some(idx) = self.vcpus[v].current else {
+        let Some(idx) = self.current else {
             if self.halted() {
                 return GuestStep::Halted;
             }
@@ -393,21 +368,20 @@ impl GuestVm {
         };
         // Activation loop: pull actions until a timed one.
         if self.threads[idx].exec.is_none() {
-            if let Some(step) = self.activate(v, idx, host_now) {
+            if let Some(step) = self.activate(idx, host_now) {
                 return step;
             }
             // Thread blocked/exited/yielded during activation: recurse to
             // pick another (bounded by thread count, not unbounded: each
             // recursion retires at least one activation).
-            return self.step(v, host_now);
+            return self.step(host_now);
         }
         // Slice off the next chunk of the current exec.
-        let chunk = self.cfg.chunk;
         let th = &mut self.threads[idx];
         let exec = th.exec.as_mut().expect("checked above");
         assert!(exec.in_flight.is_none(), "step() with piece outstanding");
         let est = self.cpu.solo_estimate(&exec.block);
-        let budget = chunk.min(th.quantum_left.max(SimDuration::from_millis(1)));
+        let budget = CHUNK.min(th.quantum_left.max(SimDuration::from_millis(1)));
         let piece = if est.duration <= budget {
             std::mem::replace(&mut exec.block, OpBlock::int_alu(0))
         } else {
@@ -419,8 +393,8 @@ impl GuestVm {
         GuestStep::Compute(host_block)
     }
 
-    fn pending_host_step(&mut self, v: usize) -> Option<GuestStep> {
-        match &self.vcpus[v].pending_host {
+    fn pending_host_step(&mut self) -> Option<GuestStep> {
+        match &self.pending_host {
             Some(PendingHost::Disk { reqs, .. }) if !reqs.is_empty() => {
                 let req = reqs.front().expect("non-empty");
                 Some(GuestStep::DiskIo {
@@ -440,7 +414,7 @@ impl GuestVm {
     /// Activation loop; returns a host step if the action needs one
     /// immediately (net ops), else None after installing exec/changing
     /// state.
-    fn activate(&mut self, v: usize, idx: usize, host_now: SimTime) -> Option<GuestStep> {
+    fn activate(&mut self, idx: usize, host_now: SimTime) -> Option<GuestStep> {
         let mut fuse = 0;
         loop {
             fuse += 1;
@@ -579,16 +553,16 @@ impl GuestVm {
                     th.pending = ActionResult::None;
                     th.state = GState::Blocked;
                     th.wake_at = Some(host_now + d);
-                    self.vcpus[v].current = None;
+                    self.current = None;
                     return None;
                 }
                 Action::YieldCpu => {
                     let th = &mut self.threads[idx];
                     th.pending = ActionResult::None;
                     th.state = GState::Ready;
-                    th.quantum_left = self.cfg.quantum;
+                    th.quantum_left = QUANTUM;
                     self.ready.push_back(idx);
-                    self.vcpus[v].current = None;
+                    self.current = None;
                     return None;
                 }
                 Action::Spawn { name, body, .. } => {
@@ -605,7 +579,7 @@ impl GuestVm {
                     }
                     self.threads[target].joiners.push(idx);
                     self.threads[idx].state = GState::Blocked;
-                    self.vcpus[v].current = None;
+                    self.current = None;
                     return None;
                 }
                 Action::Exit => {
@@ -622,7 +596,7 @@ impl GuestVm {
                             self.ready.push_back(j);
                         }
                     }
-                    self.vcpus[v].current = None;
+                    self.current = None;
                     return None;
                 }
             }
@@ -651,14 +625,13 @@ impl GuestVm {
         });
     }
 
-    /// The compute piece returned by the last [`GuestVm::step`] on vCPU
-    /// `v` finished on the host at `host_now`. `serviced` is how much of
-    /// the elapsed host time the vCPU thread actually executed (its
-    /// CPU-time delta); the remainder was starvation, which costs guest
-    /// timer ticks.
-    pub fn complete_compute(&mut self, v: usize, host_now: SimTime, serviced: SimDuration) {
+    /// The compute piece returned by the last [`GuestVm::step`] finished
+    /// on the host at `host_now`. `serviced` is how much of the elapsed
+    /// host time the vCPU thread actually executed (its CPU-time delta);
+    /// the remainder was starvation, which costs guest timer ticks.
+    pub fn complete_compute(&mut self, host_now: SimTime, serviced: SimDuration) {
         self.clock.observe_with_service(host_now, serviced);
-        let idx = self.vcpus[v].current.expect("a guest thread was computing");
+        let idx = self.current.expect("a guest thread was computing");
         let quantum;
         let finished;
         {
@@ -682,36 +655,31 @@ impl GuestVm {
                 }
                 GCont::Disk { reqs, result } => {
                     self.threads[idx].state = GState::Blocked;
-                    self.vcpus[v].pending_host = Some(PendingHost::Disk {
+                    self.pending_host = Some(PendingHost::Disk {
                         tid: idx,
                         reqs,
                         result,
                     });
-                    self.vcpus[v].current = None;
+                    self.current = None;
                 }
                 GCont::Net(kind) => {
                     self.threads[idx].state = GState::Blocked;
-                    self.vcpus[v].current = None;
-                    self.start_net(v, idx, kind);
+                    self.current = None;
+                    self.pending_host = Some(PendingHost::Net { tid: idx, kind });
                 }
             }
         } else if quantum <= SimDuration::from_nanos(1) && !self.ready.is_empty() {
             // Guest quantum rotation.
             let th = &mut self.threads[idx];
             th.state = GState::Ready;
-            th.quantum_left = self.cfg.quantum;
+            th.quantum_left = QUANTUM;
             self.ready.push_back(idx);
-            self.vcpus[v].current = None;
+            self.current = None;
         }
     }
 
-    fn start_net(&mut self, v: usize, idx: usize, kind: NetKind) {
-        self.vcpus[v].pending_host = Some(PendingHost::Net { tid: idx });
-        self.vcpus[v].pending_net_kind = Some(kind);
-    }
-
-    /// The net step corresponding to a pending net op (called by the body
-    /// right after the compute that carried the guest stack work).
+    /// The net step corresponding to a pending net op (surfaced right
+    /// after the compute that carried the guest stack work).
     fn net_step_for(&self, kind: &NetKind) -> GuestNetOp {
         let frames = |bytes: u64| self.net.nic().link.frames_for(bytes);
         let mode = self.cfg.vnic_mode;
@@ -757,12 +725,12 @@ impl GuestVm {
         }
     }
 
-    /// A host I/O operation issued for the guest on vCPU `v` completed.
-    /// I/O service gaps are fully serviced (the monitor keeps delivering
-    /// ticks while the guest waits for its own devices).
-    pub fn complete_io(&mut self, v: usize, host_now: SimTime) {
+    /// A host I/O operation issued for the guest completed. I/O service
+    /// gaps are fully serviced (the monitor keeps delivering ticks while
+    /// the guest waits for its own devices).
+    pub fn complete_io(&mut self, host_now: SimTime) {
         self.clock.observe_with_service(host_now, SimDuration::MAX);
-        match self.vcpus[v].pending_host.take() {
+        match self.pending_host.take() {
             Some(PendingHost::Disk {
                 tid,
                 mut reqs,
@@ -772,14 +740,10 @@ impl GuestVm {
                 if reqs.is_empty() {
                     self.deliver(tid, result);
                 } else {
-                    self.vcpus[v].pending_host = Some(PendingHost::Disk { tid, reqs, result });
+                    self.pending_host = Some(PendingHost::Disk { tid, reqs, result });
                 }
             }
-            Some(PendingHost::Net { tid }) => {
-                let kind = self.vcpus[v]
-                    .pending_net_kind
-                    .take()
-                    .expect("net kind stashed with pending net");
+            Some(PendingHost::Net { tid, kind }) => {
                 let result = match kind {
                     NetKind::Connect { result, .. }
                     | NetKind::Send { result, .. }
@@ -799,26 +763,6 @@ impl GuestVm {
             th.state = GState::Ready;
             self.ready.push_back(tid);
         }
-    }
-}
-
-// The net path needs GuestVm::step to surface NetOps: extend step's
-// pending handling. (Separate impl block keeps the main flow readable.)
-impl GuestVm {
-    /// Like [`GuestVm::step`] but also surfacing pending network escapes.
-    /// This is the entry point vCPU bodies should use.
-    pub fn step_full(&mut self, v: usize, host_now: SimTime) -> GuestStep {
-        if let Some(PendingHost::Net { .. }) = &self.vcpus[v].pending_host {
-            // Surface the stashed network escape; the kind stays stashed
-            // until complete_io so the guest-side result can be delivered.
-            let kind = self.vcpus[v]
-                .pending_net_kind
-                .as_ref()
-                .expect("net kind stashed with pending net");
-            let op = self.net_step_for(kind);
-            return GuestStep::Net(op);
-        }
-        self.step(v, host_now)
     }
 }
 
@@ -849,14 +793,14 @@ mod tests {
     fn compute_steps_are_dilated() {
         let mut g = guest(VmmProfile::qemu());
         g.spawn("burn", Box::new(Burn { iters: 1 }));
-        let step = g.step_full(0, SimTime::ZERO);
+        let step = g.step(SimTime::ZERO);
         let GuestStep::Compute(block) = step else {
             panic!("expected compute, got {step:?}")
         };
         // QEMU int dilation 2.95: 24M guest ops -> 70.8M host ops.
         assert_eq!(block.counts.int_ops, 70_800_000);
-        g.complete_compute(0, SimTime::from_millis(10), SimDuration::MAX);
-        let step = g.step_full(0, SimTime::from_millis(10));
+        g.complete_compute(SimTime::from_millis(10), SimDuration::MAX);
+        let step = g.step(SimTime::from_millis(10));
         assert!(matches!(step, GuestStep::Halted), "{step:?}");
     }
 
@@ -879,14 +823,14 @@ mod tests {
         let mut host = SimTime::ZERO;
         let mut chunks = 0;
         loop {
-            match g.step_full(0, host) {
+            match g.step(host) {
                 GuestStep::Compute(b) => {
                     chunks += 1;
                     // <= 5 ms guest at 6e9 ops/s = 30M guest ops; dilated
                     // by 1.16 -> <= ~35M.
                     assert!(b.counts.int_ops <= 36_000_000, "chunk {}", b.counts.int_ops);
                     host += SimDuration::from_millis(6);
-                    g.complete_compute(0, host, SimDuration::MAX);
+                    g.complete_compute(host, SimDuration::MAX);
                 }
                 GuestStep::Halted => break,
                 other => panic!("unexpected {other:?}"),
@@ -902,10 +846,10 @@ mod tests {
         let tid = g.spawn("burn", Box::new(Burn { iters: 2 }));
         let mut host = SimTime::ZERO;
         loop {
-            match g.step_full(0, host) {
+            match g.step(host) {
                 GuestStep::Compute(_) => {
                     host += SimDuration::from_millis(20);
-                    g.complete_compute(0, host, SimDuration::MAX);
+                    g.complete_compute(host, SimDuration::MAX);
                 }
                 GuestStep::Halted => break,
                 other => panic!("unexpected {other:?}"),
@@ -969,10 +913,10 @@ mod tests {
         let mut host = SimTime::ZERO;
         let mut saw_disk_io = false;
         for _ in 0..200 {
-            match g.step_full(0, host) {
+            match g.step(host) {
                 GuestStep::Compute(_) => {
                     host += SimDuration::from_millis(2);
-                    g.complete_compute(0, host, SimDuration::MAX);
+                    g.complete_compute(host, SimDuration::MAX);
                 }
                 GuestStep::DiskIo {
                     kind,
@@ -985,7 +929,7 @@ mod tests {
                     assert_eq!(bytes, 1 << 20);
                     assert!(overhead.counts.int_ops > 0, "emulation costs CPU");
                     host += SimDuration::from_millis(20);
-                    g.complete_io(0, host);
+                    g.complete_io(host);
                 }
                 GuestStep::Halted => break,
                 GuestStep::Idle { .. } => {
@@ -1015,13 +959,13 @@ mod tests {
         }
         let mut g = guest(VmmProfile::virtualbox());
         g.spawn("sleeper", Box::new(Sleeper { done: false }));
-        let step = g.step_full(0, SimTime::ZERO);
+        let step = g.step(SimTime::ZERO);
         let GuestStep::Idle { until } = step else {
             panic!("{step:?}")
         };
         assert_eq!(until, Some(SimTime::from_millis(50)));
         // After the wake time the thread exits.
-        let step = g.step_full(0, SimTime::from_millis(60));
+        let step = g.step(SimTime::from_millis(60));
         assert!(matches!(step, GuestStep::Halted), "{step:?}");
     }
 
@@ -1031,12 +975,12 @@ mod tests {
         g.spawn("burn", Box::new(Burn { iters: 100 }));
         let mut host = SimTime::ZERO;
         for _ in 0..10 {
-            match g.step_full(0, host) {
+            match g.step(host) {
                 GuestStep::Compute(_) => {
                     // Host starves the vCPU: each 4 ms chunk takes 500 ms,
                     // of which only ~5 ms was actual execution.
                     host += SimDuration::from_millis(500);
-                    g.complete_compute(0, host, SimDuration::from_millis(5));
+                    g.complete_compute(host, SimDuration::from_millis(5));
                 }
                 other => panic!("unexpected {other:?}"),
             }

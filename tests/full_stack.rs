@@ -296,45 +296,3 @@ fn guest_multithreading_is_serialized_by_the_single_vcpu() {
         "single vCPU cannot parallelize: speedup {speedup}"
     );
 }
-
-/// Virtual SMP: a 2-vCPU guest on a quad-core host really parallelizes
-/// a 2-thread guest workload (contrast with the single-vCPU
-/// serialization test above).
-#[test]
-fn two_vcpus_parallelize_guest_work_on_a_big_host() {
-    use vgrid::machine::MachineSpec;
-    use vgrid::workloads::sevenz::{SevenZBody, SevenZConfig};
-    let run = |vcpus: u32| {
-        let mut sys = System::new(SystemConfig {
-            machine: MachineSpec::core2_duo_6600().core2_quad(),
-            ..SystemConfig::testbed(9)
-        });
-        let mut guest = GuestVm::new(
-            GuestConfig::new(VmmProfile::virtualbox()).with_vcpus(vcpus),
-            sys.machine(),
-        );
-        let cfg = SevenZConfig {
-            threads: 2,
-            corpus_len: 24 * 1024,
-            depth: 8,
-            duration: SimDuration::from_millis(400),
-            ..Default::default()
-        };
-        let (body, report) = SevenZBody::new(cfg, Priority::Normal);
-        guest.spawn("7z", Box::new(body));
-        let vm = Vm::install(&mut sys, VmConfig::new("smp", Priority::Normal), guest);
-        assert_eq!(vm.vcpus.len(), vcpus as usize);
-        assert!(vm.run_until_halted(&mut sys, SimTime::from_secs(120)));
-        let r = report.borrow().clone();
-        assert!(r.complete);
-        r.mips
-    };
-    let uni = run(1);
-    let smp = run(2);
-    let speedup = smp / uni;
-    assert!(
-        speedup > 1.5,
-        "2 vCPUs should nearly double guest throughput: {speedup}"
-    );
-    assert!(speedup < 2.1, "no superlinear magic: {speedup}");
-}

@@ -106,6 +106,12 @@ fn bad_requests_get_typed_errors_and_the_server_stays_up() {
                 "invalid",
                 "speed_range",
             ),
+            // A native task fetches no VM image.
+            (
+                r#"{"spec_version": 1, "deploy": {"mode": "native", "image_bytes": 1}}"#,
+                "invalid",
+                "image_bytes",
+            ),
         ];
         for (body, kind, fragment) in table {
             let (status, payload) = post(addr, "/v1/campaign", body);

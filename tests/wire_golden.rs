@@ -17,8 +17,16 @@
 //!    and the serve worker run `parse_request` then `run_request`, the
 //!    two halves of `run_request_json`, so pinning its output pins
 //!    them both.
+//!
+//! The fixtures also seed the fuzzers of the two hand-rolled parsers,
+//! `wire::parse_request` and `serve::http::read_request`: mutated
+//! documents and HTTP frames must never panic either, and every
+//! rejection must be a typed error.
 
-use vgrid::grid::wire;
+use proptest::prelude::*;
+use vgrid::grid::wire::{self, WireErrorKind};
+use vgrid::serve::http::read_request;
+use vgrid::simcore::SimRng;
 
 const CASES: &[(&str, &str)] = &[
     (
@@ -89,5 +97,99 @@ fn responses_match_the_committed_goldens() {
              if the change is intentional, regenerate with \
              `vgrid campaign --spec {req_path} --manifest-json {resp_path}`"
         );
+    }
+}
+
+/// Tokens the fuzzers splice in: numbers past every range, a lone
+/// surrogate escape, and structure fragments.
+const TOKENS: &[&str] = &[
+    "1e309",
+    "-1e309",
+    "18446744073709551616",
+    "4294967296",
+    "-0",
+    "1e-400",
+    r#""\ud800""#,
+    r#"\ud800"#,
+    "null",
+    "true",
+    "\"",
+    "{",
+    "}",
+    "[",
+    ",",
+    ":",
+    "\u{0}",
+];
+
+/// `seed` with one to four random edits: an inserted token, a deleted
+/// run of up to 16 bytes, or a flipped bit.
+fn mutate(seed: &[u8], rng: &mut SimRng) -> Vec<u8> {
+    let mut bytes = seed.to_vec();
+    for _ in 0..=rng.next_below(4) {
+        let at = rng.next_below(bytes.len() as u64 + 1) as usize;
+        match rng.next_below(3) {
+            0 => {
+                let token = TOKENS[rng.next_below(TOKENS.len() as u64) as usize];
+                bytes.splice(at..at, token.bytes());
+            }
+            1 => {
+                let end = (at + 1 + rng.next_below(16) as usize).min(bytes.len());
+                bytes.drain(at..end);
+            }
+            _ if at < bytes.len() => bytes[at] ^= 1 << rng.next_below(8),
+            _ => {}
+        }
+    }
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A mutated fixture never panics the parser. A rejection is typed:
+    /// a JSON error names a byte of the document, a version error names
+    /// `spec_version`. An accepted request that builds renders to a
+    /// canonical fixed point (non-finite numbers parse, but never build).
+    #[test]
+    fn mutated_requests_are_typed_errors_or_fixed_points(
+        fixture in 0..CASES.len(),
+        seed in any::<u64>(),
+    ) {
+        let bytes = mutate(read(CASES[fixture].0).as_bytes(), &mut SimRng::new(seed));
+        let body = String::from_utf8_lossy(&bytes);
+        match wire::parse_request(&body) {
+            Err(e) => match e.kind {
+                WireErrorKind::Json => {
+                    let at = e.message.rsplit("at byte ").next().and_then(|n| n.parse().ok());
+                    prop_assert!(at.is_some_and(|at: usize| at <= body.len()), "{e}");
+                }
+                WireErrorKind::Version => prop_assert!(e.message.contains("spec_version"), "{e}"),
+                WireErrorKind::Invalid => prop_assert!(!e.message.is_empty()),
+            },
+            Ok(req) if req.spec.clone().build().is_ok() => {
+                let canonical = wire::render_request(&req.spec, &req.options);
+                let back = wire::parse_request(&canonical)
+                    .unwrap_or_else(|e| panic!("{e}: {canonical}"));
+                prop_assert_eq!(wire::render_request(&back.spec, &back.options), canonical);
+            }
+            Ok(_) => {}
+        }
+    }
+
+    /// A mutated HTTP frame around a fixture never panics the reader,
+    /// and a rejection carries one of its status codes.
+    #[test]
+    fn mutated_http_frames_are_typed_errors(fixture in 0..CASES.len(), seed in any::<u64>()) {
+        let body = read(CASES[fixture].0);
+        let frame = format!(
+            "POST /v1/campaign HTTP/1.1\r\nHost: vgrid\r\nX-Vgrid-Tenant: a\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let bytes = mutate(frame.as_bytes(), &mut SimRng::new(seed));
+        if let Ok(Err(e)) = read_request(&mut std::io::Cursor::new(bytes)) {
+            prop_assert!([400, 413, 431, 505].contains(&e.status), "{e:?}");
+        }
     }
 }
