@@ -436,6 +436,24 @@ mod tests {
     }
 
     #[test]
+    fn parallel_and_sequential_reps_agree_bitwise() {
+        // More repetitions than a small host has workers.
+        let campaign = quick_spec()
+            .churn(ChurnConfig::intensity(2.0))
+            .repetitions(9)
+            .build()
+            .unwrap();
+        let par = campaign.run();
+        let seq = campaign.run_seq();
+        assert_eq!(par.reports(), seq.reports());
+        for name in par.metric_names() {
+            let (a, b) = (par.metric(name), seq.metric(name));
+            assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{name}");
+            assert_eq!(a.stddev.to_bits(), b.stddev.to_bits(), "{name}");
+        }
+    }
+
+    #[test]
     fn public_campaign_path_matches_zero_churn_impl() {
         // Port of the retired `run_campaign` shim's guarantee: the
         // public builder path with churn left at its default runs the
@@ -452,6 +470,16 @@ mod tests {
             &RunOptions::default(),
         );
         assert_eq!(via_campaign, direct);
+    }
+
+    #[test]
+    fn hydrated_reference_spec_is_bit_identical() {
+        let spec = quick_spec().churn(ChurnConfig::intensity(1.0)).seed(17);
+        let campaign = spec.build().unwrap();
+        let batched = campaign.run();
+        let reference =
+            campaign.run_with(&RunOptions::default().substrate(SubstrateMode::HydratedReference));
+        assert_eq!(batched.reports(), reference.reports());
     }
 
     #[test]

@@ -2147,6 +2147,59 @@ mod tests {
         SimTime::from_secs(30 * 24 * 3600)
     }
 
+    #[test]
+    fn prefix_resume_is_bit_identical_to_cold_run() {
+        // Same spec at a longer horizon must resume from the stored
+        // prefix snapshot and still match a cold full run. The cold
+        // references use the flat-queue substrate, which never touches
+        // the trajectory cache — no global toggles, so this test is
+        // race-free under parallel execution.
+        let project = ProjectConfig {
+            workunits: 40,
+            wu_ref_secs: 1800.0,
+            ..Default::default()
+        };
+        let pool = PoolConfig {
+            volunteers: 60,
+            ram_range: (256 << 20, 2 << 30),
+            ..Default::default()
+        };
+        let deploy = DeployConfig::vm(VmmProfile::vmplayer(), 300 << 20);
+        let churn = ChurnConfig::intensity(0.7);
+        let seed = 0x9e5a_11e7_7e57_0001;
+        let h1 = SimTime::from_secs(3 * 24 * 3600);
+        let h2 = SimTime::from_secs(9 * 24 * 3600);
+
+        let cold = |h| {
+            run_campaign_substrate(
+                &project,
+                &pool,
+                &deploy,
+                &churn,
+                seed,
+                h,
+                &RunOptions::default().substrate(SubstrateMode::HydratedReference),
+            )
+        };
+        let warm = |h| run_impl(&project, &pool, &deploy, &churn, seed, h);
+
+        let ref1 = cold(h1);
+        let ref2 = cold(h2);
+        assert_eq!(warm(h1), ref1, "cold batched run diverged");
+        // The h1 run stored its loop-exit snapshot; the h2 lookup must
+        // find it as a usable prefix.
+        let key = fastforward::trajectory_key(&project, &pool, &deploy, &churn, seed);
+        assert!(
+            fastforward::trajectory_lookup(&key, h2).is_some(),
+            "prefix snapshot was not stored at h1",
+        );
+        assert_eq!(warm(h2), ref2, "resume-from-prefix diverged from cold run");
+        // Exact-horizon replay: resuming at the snapshot's own horizon
+        // re-breaks immediately and re-derives the identical report.
+        assert_eq!(warm(h1), ref1, "exact-horizon resume diverged");
+        assert_eq!(warm(h2), ref2, "repeat resume diverged");
+    }
+
     /// An event queue that counts the events scheduled on it into a
     /// counter the caller keeps after the run consumes the queue.
     struct Counting<Q> {
@@ -2268,6 +2321,34 @@ mod tests {
         assert!(vmp > 1.0 && vmp < 1.3, "vmp {vmp}");
         assert!(q > 1.3, "qemu {q}");
         assert!(q > vmp);
+    }
+
+    #[test]
+    fn substrates_are_bit_identical() {
+        // The radix-queue batched substrate and the flat-queue
+        // reference substrate must agree on every report field,
+        // hydration stats included, under zero churn and full churn.
+        for churn in [ChurnConfig::off(), ChurnConfig::intensity(1.0)] {
+            for deploy in [
+                DeployConfig::native(),
+                DeployConfig::vm(VmmProfile::virtualbox(), 700 << 20),
+            ] {
+                let run = |substrate| {
+                    run_campaign_substrate(
+                        &small_project(),
+                        &stable_pool(),
+                        &deploy,
+                        &churn,
+                        9,
+                        horizon(),
+                        &RunOptions::default().substrate(substrate),
+                    )
+                };
+                let batched = run(SubstrateMode::Batched);
+                let reference = run(SubstrateMode::HydratedReference);
+                assert_eq!(batched, reference, "substrate divergence: {deploy:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Property-based test of the migration-policy accounting. Agreement
-//! across execution modes, and a disabled policy being the pre-policy
-//! baseline bit for bit, are `oracle.rs`'s.
+//! Property-based tests of the migration-policy contract: accounting
+//! invariants, and the guarantee that a disabled policy is the
+//! pre-policy baseline bit for bit. Agreement across execution modes is
+//! `oracle.rs`'s.
 
 use proptest::prelude::*;
 use vgrid_grid::{
-    CampaignSpec, ChurnConfig, DeployConfig, MigrationPolicy, PoolConfig, ProjectConfig,
+    CampaignSpec, ChurnConfig, DeployConfig, MigrationPolicy, PoolConfig, ProjectConfig, RunOptions,
 };
 use vgrid_simcore::{SimDuration, SimTime};
 use vgrid_vmm::VmmProfile;
@@ -80,5 +81,33 @@ proptest! {
             // fixture) nothing else mints migrations.
             prop_assert_eq!(r.migrations, 0);
         }
+    }
+
+    /// A disabled policy is the pre-policy baseline bit for bit, no
+    /// matter what the (unused) tuning knobs are set to — and its
+    /// report formats without the policy-only fields, which is what
+    /// keeps every committed golden and pinned digest byte-stable.
+    #[test]
+    fn off_policy_is_the_baseline_bit_for_bit(
+        seed in any::<u64>(),
+        churn_level in 0u32..4,
+        slack_pct in 1u32..101,
+        thresh_pct in 1u32..101,
+    ) {
+        let mut varied = MigrationPolicy::off();
+        varied.rescue_slack = slack_pct as f64 / 100.0;
+        varied.hazard_threshold = thresh_pct as f64 / 100.0;
+        prop_assert!(varied.is_off());
+
+        let canon = spec(seed, 12, churn_level as f64, MigrationPolicy::off())
+            .build().unwrap().run_with(&RunOptions::default());
+        let tuned = spec(seed, 12, churn_level as f64, varied)
+            .build().unwrap().run_with(&RunOptions::default());
+        prop_assert_eq!(canon.reports(), tuned.reports());
+
+        let debug = format!("{:?}", canon.reports()[0]);
+        prop_assert!(!debug.contains("evacuations:"));
+        prop_assert!(!debug.contains("rescue_wins:"));
+        prop_assert!(!debug.contains(" transfer_secs:"), "image_transfer_secs is fine; the policy field is not: {debug}");
     }
 }

@@ -73,4 +73,54 @@ proptest! {
         let b = &b.reports()[0];
         prop_assert_eq!(a, b);
     }
+
+    /// Repetition fan-out is an implementation detail: for arbitrary
+    /// churn configurations the parallel runner folds the same
+    /// per-repetition reports, in the same order, as the sequential one.
+    #[test]
+    fn parallel_repetitions_match_sequential(
+        seed in any::<u64>(),
+        volunteers in 5u32..25,
+        shape_tenths in 5u32..15,
+        owner_arrival_h in 1u32..12,
+        kill_h in 6u32..72,
+        use_vm in any::<bool>(),
+    ) {
+        let churn = ChurnConfig {
+            availability_shape: shape_tenths as f64 / 10.0,
+            uptime_factor: 0.6,
+            owner_arrival_mean_secs: owner_arrival_h as f64 * 3600.0,
+            owner_session_mean_secs: 1800.0,
+            preempt_kill_prob: 0.2,
+            vm_kill_mean_secs: kill_h as f64 * 3600.0,
+        };
+        let deploy = if use_vm {
+            DeployConfig::vm(VmmProfile::vmplayer(), 300 << 20)
+        } else {
+            DeployConfig::native()
+        };
+        let spec = CampaignSpec::new("par-vs-seq")
+            .project(ProjectConfig { workunits: 15, wu_ref_secs: 1800.0, ..Default::default() })
+            .pool(PoolConfig {
+                volunteers,
+                ram_range: (1 << 30, 2 << 30),
+                ..Default::default()
+            })
+            .deploy(deploy)
+            .churn(churn)
+            .seed(seed)
+            .repetitions(3)
+            .horizon(SimTime::from_secs(5 * 24 * 3600));
+        let par = spec.clone().build().unwrap().run();
+        let seq = spec.build().unwrap().run_seq();
+        prop_assert_eq!(par.reports(), seq.reports());
+        for name in par.metric_names() {
+            prop_assert_eq!(
+                par.metric(name).mean.to_bits(),
+                seq.metric(name).mean.to_bits(),
+                "metric {} diverged between parallel and sequential",
+                name
+            );
+        }
+    }
 }
