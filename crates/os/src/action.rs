@@ -5,11 +5,15 @@
 //! action, passing a [`ThreadCtx`] that carries the result of the previous
 //! action. The body returns an [`Action`] — compute, file I/O, network
 //! I/O, sleeping, thread management or exit — and the kernel simulates it.
+//! File and network actions are planned by [`Action::plan_io`], the one
+//! syscall table both the host and the guest kernels call.
 //!
 //! This is a coroutine protocol by explicit state machine: Rust has no
 //! stable generators, and explicit states keep each workload's phase
 //! structure visible and testable.
 
+use crate::fs::{FileSystem, IoPlan};
+use crate::net::{NetPlan, NetStack};
 use vgrid_machine::ops::OpBlock;
 use vgrid_simcore::{SimDuration, SimRng, SimTime};
 
@@ -199,12 +203,53 @@ pub enum Action {
     Exit,
 }
 
+/// The plan of one file or network syscall.
+#[derive(Debug)]
+pub enum IoCall {
+    /// A filesystem call: kernel CPU work, then device requests.
+    File(IoPlan),
+    /// A socket call: stack CPU work, then NIC occupancy and latency.
+    Net(NetPlan),
+}
+
 impl Action {
     /// Wrap a freshly-built block as a compute action. Bodies that
     /// re-issue one block repeatedly should instead hold an
     /// `Rc<OpBlock>` and clone the handle.
     pub fn compute(block: OpBlock) -> Self {
         Action::Compute(std::rc::Rc::new(block))
+    }
+
+    /// The syscall layer shared by the host and guest kernels: plan a
+    /// file or network action against the calling kernel's filesystem
+    /// and stack. `None` for compute, sleep and thread actions, which
+    /// each kernel schedules itself.
+    pub fn plan_io(&self, fs: &mut FileSystem, net: &mut NetStack) -> Option<IoCall> {
+        Some(match *self {
+            Action::FileOpen {
+                ref path,
+                create,
+                truncate,
+                direct,
+            } => IoCall::File(fs.open(path, create, truncate, direct)),
+            Action::FileRead { file, bytes } => IoCall::File(fs.read(file, bytes)),
+            Action::FileWrite { file, bytes } => IoCall::File(fs.write(file, bytes)),
+            Action::FileSync { file } => IoCall::File(fs.sync(file)),
+            Action::FileSeek { file, pos } => IoCall::File(fs.seek(file, pos)),
+            Action::FileClose { file } => IoCall::File(fs.close(file)),
+            Action::FileDelete { ref path } => IoCall::File(fs.delete(path)),
+            Action::FileDropCache { file } => IoCall::File(fs.drop_cache(file)),
+            Action::NetConnect { remote } => IoCall::Net(net.connect(remote)),
+            Action::NetSend { conn, bytes } => IoCall::Net(net.send(conn, bytes)),
+            Action::NetRecv { conn, bytes } => IoCall::Net(net.recv(conn, bytes)),
+            Action::NetClose { conn } => IoCall::Net(net.close(conn)),
+            Action::Compute(_)
+            | Action::Sleep(_)
+            | Action::YieldCpu
+            | Action::Spawn { .. }
+            | Action::Join { .. }
+            | Action::Exit => return None,
+        })
     }
 }
 

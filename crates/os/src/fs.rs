@@ -115,6 +115,10 @@ pub struct FileSystem {
     touch_counter: u64,
     /// Total resident bytes across files.
     cache_used: u64,
+    /// Bytes requested by every `read` call, failed calls included.
+    pub(crate) read_bytes: u64,
+    /// Bytes requested by every `write` call, failed calls included.
+    pub(crate) write_bytes: u64,
 }
 
 /// Build the CPU block for a syscall that moves `bytes` through the cache.
@@ -157,6 +161,8 @@ impl FileSystem {
             alloc_cursor: 0,
             touch_counter: 0,
             cache_used: 0,
+            read_bytes: 0,
+            write_bytes: 0,
         }
     }
 
@@ -264,6 +270,7 @@ impl FileSystem {
 
     /// Write at the handle's position.
     pub fn write(&mut self, id: FileId, bytes: u64) -> IoPlan {
+        self.write_bytes += bytes;
         let Some(h) = self.handles.get(&id) else {
             return IoPlan::err(OsError::BadHandle);
         };
@@ -315,6 +322,7 @@ impl FileSystem {
 
     /// Read at the handle's position.
     pub fn read(&mut self, id: FileId, bytes: u64) -> IoPlan {
+        self.read_bytes += bytes;
         let Some(h) = self.handles.get(&id) else {
             return IoPlan::err(OsError::BadHandle);
         };

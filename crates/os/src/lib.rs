@@ -8,7 +8,9 @@
 //! The central type is [`System`]: spawn [`ThreadBody`] state machines
 //! into it, run it, and measure. Workload implementations live in
 //! `vgrid-workloads`; the virtual machine monitor that runs a nested
-//! guest kernel as a host thread lives in `vgrid-vmm`.
+//! guest kernel as a host thread lives in `vgrid-vmm`. Both kernels
+//! plan file and network actions through one syscall table,
+//! [`Action::plan_io`], and keep only their own scheduling.
 //!
 //! ```
 //! use vgrid_os::{Action, Priority, System, SystemConfig, ThreadBody, ThreadCtx};
@@ -44,8 +46,8 @@ pub mod sched;
 pub mod system;
 
 pub use action::{
-    Action, ActionResult, ConnId, FileId, OsError, Priority, RemoteHost, RemoteKind, ThreadBody,
-    ThreadCtx, ThreadId,
+    Action, ActionResult, ConnId, FileId, IoCall, OsError, Priority, RemoteHost, RemoteKind,
+    ThreadBody, ThreadCtx, ThreadId,
 };
 pub use fs::{FileSystem, FsConfig, IoPlan};
 pub use net::{NetConfig, NetPlan, NetStack};

@@ -77,6 +77,10 @@ pub struct NetStack {
     nic: NicModel,
     conns: DetMap<ConnId, Conn>,
     next_conn: u32,
+    /// Bytes requested by every `send` call, failed calls included.
+    pub(crate) tx_bytes: u64,
+    /// Bytes requested by every `recv` call, failed calls included.
+    pub(crate) rx_bytes: u64,
 }
 
 impl NetStack {
@@ -87,6 +91,8 @@ impl NetStack {
             nic,
             conns: DetMap::new(),
             next_conn: 1,
+            tx_bytes: 0,
+            rx_bytes: 0,
         }
     }
 
@@ -137,6 +143,7 @@ impl NetStack {
 
     /// Send `bytes` to the peer.
     pub fn send(&mut self, conn: ConnId, bytes: u64) -> NetPlan {
+        self.tx_bytes += bytes;
         let Some(c) = self.conns.get_mut(&conn) else {
             return NetPlan::err(OsError::BadHandle);
         };
@@ -154,6 +161,7 @@ impl NetStack {
 
     /// Receive exactly `bytes` from a source peer.
     pub fn recv(&mut self, conn: ConnId, bytes: u64) -> NetPlan {
+        self.rx_bytes += bytes;
         let Some(c) = self.conns.get_mut(&conn) else {
             return NetPlan::err(OsError::BadHandle);
         };

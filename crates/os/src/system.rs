@@ -46,7 +46,7 @@
 //! the coalesced schedule is bit-identical to the per-quantum reference
 //! schedule (`SystemConfig { coalesce: false, .. }`).
 
-use crate::action::{Action, ActionResult, Priority, ThreadBody, ThreadCtx, ThreadId};
+use crate::action::{Action, ActionResult, IoCall, Priority, ThreadBody, ThreadCtx, ThreadId};
 use crate::fs::{FileSystem, FsConfig, IoPlan};
 use crate::net::{NetConfig, NetPlan, NetStack};
 use crate::sched::ReadyQueues;
@@ -306,13 +306,10 @@ pub struct System {
     quanta_crossed: u64,
     /// Quantum boundaries materialized as real events.
     quantum_events: u64,
-    /// Always-on observability byte counters (plain integer adds on
-    /// paths that already exist — no events, no allocation, so bench
-    /// event counts are untouched).
-    fs_read_bytes: u64,
-    fs_write_bytes: u64,
-    net_tx_bytes: u64,
-    net_rx_bytes: u64,
+    /// Always-on observability byte counter (a plain integer add on a
+    /// path that already exists — no events, no allocation, so bench
+    /// event counts are untouched). The filesystem and the stack count
+    /// their own call bytes.
     disk_device_bytes: u64,
     /// Device-transfer size distribution (fixed byte-size buckets).
     disk_req_sizes: Histogram,
@@ -382,10 +379,6 @@ impl System {
             events_handled: 0,
             quanta_crossed: 0,
             quantum_events: 0,
-            fs_read_bytes: 0,
-            fs_write_bytes: 0,
-            net_tx_bytes: 0,
-            net_rx_bytes: 0,
             disk_device_bytes: 0,
             disk_req_sizes: Histogram::byte_sizes(),
             committed: 0,
@@ -486,8 +479,8 @@ impl System {
                 self.threads[idx].state = ThreadState::Suspended;
             }
             ThreadState::Blocked => {
-                // Park on I/O completion (see on_disk_done / on_wake /
-                // join delivery); only the flag is set here.
+                // Park when the wait ends (see `unblock`); only the
+                // flag is set here.
             }
         }
         self.threads[idx].suspended = true;
@@ -539,31 +532,43 @@ impl System {
             }
             ThreadState::Blocked | ThreadState::Suspended => {}
         }
-        let joiners = {
-            let th = &mut self.threads[idx];
-            th.state = ThreadState::Exited;
-            th.exited_at = Some(self.now);
-            th.exec = None;
-            th.pending = ActionResult::None;
-            th.suspended = false;
-            std::mem::take(&mut th.joiners)
-        };
-        for j in joiners {
-            let jt = &mut self.threads[j.0 as usize];
-            if jt.state == ThreadState::Blocked {
-                jt.pending = ActionResult::Joined;
-                if jt.suspended {
-                    jt.state = ThreadState::Suspended;
-                } else {
-                    jt.state = ThreadState::Ready;
-                    let p = jt.eff_prio();
-                    self.ready.push_back(j, p);
-                }
-            }
-        }
+        self.exit(tid);
         if self.trace.is_enabled(TraceCategory::Fault) {
             self.trace
                 .emit(self.now, TraceCategory::Fault, format!("kill t{}", tid.0));
+        }
+    }
+
+    /// The exit rule, for `Action::Exit` and [`System::kill_thread`]
+    /// alike: `tid`, already off any core, retires at `now`, and every
+    /// thread joining it wakes with `Joined`.
+    fn exit(&mut self, tid: ThreadId) {
+        let th = &mut self.threads[tid.0 as usize];
+        th.state = ThreadState::Exited;
+        th.exited_at = Some(self.now);
+        th.exec = None;
+        th.pending = ActionResult::None;
+        th.suspended = false;
+        for j in std::mem::take(&mut th.joiners) {
+            self.threads[j.0 as usize].pending = ActionResult::Joined;
+            self.unblock(j);
+        }
+    }
+
+    /// The wake-up rule: a blocked thread whose wait is over parks at
+    /// [`ThreadState::Suspended`] if a freeze is pending, else rejoins
+    /// the ready queues. A thread killed while it waited stays exited.
+    fn unblock(&mut self, tid: ThreadId) {
+        let th = &mut self.threads[tid.0 as usize];
+        if th.state != ThreadState::Blocked {
+            return;
+        }
+        if th.suspended {
+            th.state = ThreadState::Suspended;
+        } else {
+            th.state = ThreadState::Ready;
+            let p = th.eff_prio();
+            self.ready.push_back(tid, p);
         }
     }
 
@@ -633,10 +638,10 @@ impl System {
         m.counter_add("os.cache.contention_hits", ls.memo_hits);
         m.counter_add("os.cache.contention_misses", ls.memo_misses);
         m.gauge_add("os.loop.sim_seconds", ls.sim_seconds);
-        m.counter_add("os.fs.read_bytes", self.fs_read_bytes);
-        m.counter_add("os.fs.write_bytes", self.fs_write_bytes);
-        m.counter_add("os.net.tx_bytes", self.net_tx_bytes);
-        m.counter_add("os.net.rx_bytes", self.net_rx_bytes);
+        m.counter_add("os.fs.read_bytes", self.fs.read_bytes);
+        m.counter_add("os.fs.write_bytes", self.fs.write_bytes);
+        m.counter_add("os.net.tx_bytes", self.net.tx_bytes);
+        m.counter_add("os.net.rx_bytes", self.net.rx_bytes);
         m.counter_add("os.disk.device_bytes", self.disk_device_bytes);
         if self.disk_req_sizes.total() > 0 {
             m.histogram_merge("os.disk.request_bytes", &self.disk_req_sizes);
@@ -736,7 +741,7 @@ impl System {
             Ev::SliceEnd { core, gen } => self.on_slice_end(core, gen),
             Ev::DiskDone => self.on_disk_done(),
             Ev::NicFree => self.on_nic_free(),
-            Ev::Wake { tid } => self.on_wake(tid),
+            Ev::Wake { tid } => self.unblock(tid),
             Ev::Boost => self.on_boost(),
         }
         self.settle();
@@ -862,17 +867,8 @@ impl System {
             return;
         }
         // Job complete: deliver.
-        let th = &mut self.threads[job.tid.0 as usize];
-        th.pending = std::mem::replace(&mut job.result, ActionResult::None);
-        if th.state == ThreadState::Blocked {
-            if th.suspended {
-                th.state = ThreadState::Suspended;
-            } else {
-                th.state = ThreadState::Ready;
-                let p = th.eff_prio();
-                self.ready.push_back(job.tid, p);
-            }
-        }
+        self.threads[job.tid.0 as usize].pending = job.result;
+        self.unblock(job.tid);
         if self.trace.is_enabled(TraceCategory::Io) {
             self.trace.emit(
                 self.now,
@@ -933,19 +929,6 @@ impl System {
         };
         self.queue.schedule(self.now + job.wire, Ev::NicFree);
         self.nic_busy = Some(job);
-    }
-
-    fn on_wake(&mut self, tid: ThreadId) {
-        let th = &mut self.threads[tid.0 as usize];
-        if th.state == ThreadState::Blocked {
-            if th.suspended {
-                th.state = ThreadState::Suspended;
-            } else {
-                th.state = ThreadState::Ready;
-                let p = th.eff_prio();
-                self.ready.push_back(tid, p);
-            }
-        }
     }
 
     fn on_boost(&mut self) {
@@ -1292,6 +1275,10 @@ impl System {
                 body.next(&mut ctx)
             };
             self.threads[idx].body = Some(body);
+            if let Some(call) = action.plan_io(&mut self.fs, &mut self.net) {
+                self.install_io(core, tid, call);
+                return;
+            }
             match action {
                 Action::Compute(block) => {
                     let est = self.cpu.solo_estimate(&block);
@@ -1306,75 +1293,6 @@ impl System {
                         cont: Cont::Resume,
                     });
                     self.begin_exec(core);
-                    return;
-                }
-                Action::FileOpen {
-                    path,
-                    create,
-                    truncate,
-                    direct,
-                } => {
-                    let plan = self.fs.open(&path, create, truncate, direct);
-                    self.install_io(core, tid, plan);
-                    return;
-                }
-                Action::FileRead { file, bytes } => {
-                    self.fs_read_bytes += bytes;
-                    let plan = self.fs.read(file, bytes);
-                    self.install_io(core, tid, plan);
-                    return;
-                }
-                Action::FileWrite { file, bytes } => {
-                    self.fs_write_bytes += bytes;
-                    let plan = self.fs.write(file, bytes);
-                    self.install_io(core, tid, plan);
-                    return;
-                }
-                Action::FileSync { file } => {
-                    let plan = self.fs.sync(file);
-                    self.install_io(core, tid, plan);
-                    return;
-                }
-                Action::FileSeek { file, pos } => {
-                    let plan = self.fs.seek(file, pos);
-                    self.install_io(core, tid, plan);
-                    return;
-                }
-                Action::FileClose { file } => {
-                    let plan = self.fs.close(file);
-                    self.install_io(core, tid, plan);
-                    return;
-                }
-                Action::FileDelete { path } => {
-                    let plan = self.fs.delete(&path);
-                    self.install_io(core, tid, plan);
-                    return;
-                }
-                Action::FileDropCache { file } => {
-                    let plan = self.fs.drop_cache(file);
-                    self.install_io(core, tid, plan);
-                    return;
-                }
-                Action::NetConnect { remote } => {
-                    let plan = self.net.connect(remote);
-                    self.install_net(core, tid, plan);
-                    return;
-                }
-                Action::NetSend { conn, bytes } => {
-                    self.net_tx_bytes += bytes;
-                    let plan = self.net.send(conn, bytes);
-                    self.install_net(core, tid, plan);
-                    return;
-                }
-                Action::NetRecv { conn, bytes } => {
-                    self.net_rx_bytes += bytes;
-                    let plan = self.net.recv(conn, bytes);
-                    self.install_net(core, tid, plan);
-                    return;
-                }
-                Action::NetClose { conn } => {
-                    let plan = self.net.close(conn);
-                    self.install_net(core, tid, plan);
                     return;
                 }
                 Action::Sleep(d) => {
@@ -1413,33 +1331,15 @@ impl System {
                     return;
                 }
                 Action::Exit => {
-                    let joiners = {
-                        let th = &mut self.threads[idx];
-                        th.state = ThreadState::Exited;
-                        th.exited_at = Some(self.now);
-                        th.exec = None;
-                        std::mem::take(&mut th.joiners)
-                    };
                     self.clear_core(core);
-                    for j in joiners {
-                        let jt = &mut self.threads[j.0 as usize];
-                        if jt.state == ThreadState::Blocked {
-                            jt.pending = ActionResult::Joined;
-                            if jt.suspended {
-                                jt.state = ThreadState::Suspended;
-                            } else {
-                                jt.state = ThreadState::Ready;
-                                let p = jt.eff_prio();
-                                self.ready.push_back(j, p);
-                            }
-                        }
-                    }
+                    self.exit(tid);
                     if self.trace.is_enabled(TraceCategory::Sched) {
                         self.trace
                             .emit(self.now, TraceCategory::Sched, format!("exit t{}", tid.0));
                     }
                     return;
                 }
+                _ => unreachable!("file and network actions are planned above"),
             }
         }
     }
@@ -1452,44 +1352,38 @@ impl System {
         c.dirty = true;
     }
 
-    /// Install a filesystem plan as the thread's execution state.
-    fn install_io(&mut self, core: usize, tid: ThreadId, plan: IoPlan) {
-        let IoPlan { cpu, disk, result } = plan;
-        let est = self.cpu.solo_estimate(&cpu);
-        let cont = if disk.is_empty() {
-            Cont::Deliver(result)
-        } else {
-            Cont::Disk {
-                reqs: disk.into(),
-                result,
+    /// Install a syscall plan as the thread's execution state: its CPU
+    /// work first, then the device or NIC wait, if any.
+    fn install_io(&mut self, core: usize, tid: ThreadId, call: IoCall) {
+        let (cpu, cont) = match call {
+            IoCall::File(IoPlan { cpu, disk, result }) => {
+                let cont = if disk.is_empty() {
+                    Cont::Deliver(result)
+                } else {
+                    let reqs = disk.into();
+                    Cont::Disk { reqs, result }
+                };
+                (cpu, cont)
             }
-        };
-        self.threads[tid.0 as usize].exec = Some(ExecState {
-            block: Rc::new(cpu),
-            remaining: est.duration.as_secs_f64().max(1e-12),
-            cont,
-        });
-        self.begin_exec(core);
-    }
-
-    /// Install a network plan as the thread's execution state.
-    fn install_net(&mut self, core: usize, tid: ThreadId, plan: NetPlan) {
-        let NetPlan {
-            cpu,
-            wire,
-            extra_delay,
-            result,
-        } = plan;
-        let est = self.cpu.solo_estimate(&cpu);
-        let cont = if wire.is_zero() && extra_delay.is_zero() {
-            Cont::Deliver(result)
-        } else {
-            Cont::Net {
+            IoCall::Net(NetPlan {
+                cpu,
                 wire,
-                extra: extra_delay,
+                extra_delay: extra,
                 result,
+            }) => {
+                let cont = if wire.is_zero() && extra.is_zero() {
+                    Cont::Deliver(result)
+                } else {
+                    Cont::Net {
+                        wire,
+                        extra,
+                        result,
+                    }
+                };
+                (cpu, cont)
             }
         };
+        let est = self.cpu.solo_estimate(&cpu);
         self.threads[tid.0 as usize].exec = Some(ExecState {
             block: Rc::new(cpu),
             remaining: est.duration.as_secs_f64().max(1e-12),

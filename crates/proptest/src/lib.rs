@@ -439,7 +439,7 @@ mod tests {
             mut v in crate::collection::vec(any::<u8>(), 0..16),
             pick in prop_oneof![(0u8..4).prop_map(|x| x * 2), Just(9u8)],
         ) {
-            prop_assert!(n >= 1 && n < 10);
+            prop_assert!((1..10).contains(&n));
             // simlint: allow(unstable-sort) -- u8 keys are total; only sortedness is asserted
             v.sort_unstable();
             prop_assert!(v.windows(2).all(|w| w[0] <= w[1]));

@@ -20,17 +20,15 @@
 //! vCPU pauses the guest and streams the committed guest RAM to a host
 //! file.
 
-use crate::guest::{GuestNetOp, GuestStep, GuestVm};
+use crate::guest::{GuestStep, GuestVm};
 use crate::profiles::{VmmProfile, VnicMode};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 use vgrid_machine::ops::{OpBlock, OpClassCounts};
 use vgrid_machine::DiskRequestKind;
-use vgrid_os::{
-    Action, ActionResult, ConnId, FileId, Priority, RemoteHost, System, ThreadBody, ThreadCtx,
-    ThreadId,
-};
-use vgrid_simcore::{DetMap, SimDuration, SimTime};
+use vgrid_os::{Action, ActionResult, FileId, Priority, System, ThreadBody, ThreadCtx, ThreadId};
+use vgrid_simcore::{SimDuration, SimTime};
 use vgrid_simobs::MetricsRegistry;
 
 /// Checkpoint write chunk.
@@ -250,21 +248,10 @@ enum VPhase {
     OpenImage,
     Drive,
     Computing,
-    DiskOverhead {
-        kind: DiskRequestKind,
-        offset: u64,
-        bytes: u64,
-    },
-    DiskSeek {
-        kind: DiskRequestKind,
-        bytes: u64,
-    },
-    DiskIo,
-    NetOverhead(NetOpKind),
-    NetIo {
-        guest_conn: ConnId,
-        expect_connect: bool,
-    },
+    /// A guest device operation escaped to the host: after the
+    /// device-model overhead, issue these host actions in order, then
+    /// hand the last result to the guest.
+    Escape(VecDeque<Action>),
     CkptOpen {
         path: String,
     },
@@ -275,25 +262,6 @@ enum VPhase {
     CkptClose,
 }
 
-#[derive(Debug)]
-enum NetOpKind {
-    Connect {
-        guest_conn: ConnId,
-        remote: RemoteHost,
-    },
-    Send {
-        guest_conn: ConnId,
-        bytes: u64,
-    },
-    Recv {
-        guest_conn: ConnId,
-        bytes: u64,
-    },
-    Close {
-        guest_conn: ConnId,
-    },
-}
-
 /// The vCPU host thread body; it owns the nested guest kernel.
 #[derive(Debug)]
 pub struct VcpuBody {
@@ -301,7 +269,6 @@ pub struct VcpuBody {
     image_path: String,
     image: Option<FileId>,
     ckpt_file: Option<FileId>,
-    conn_map: DetMap<ConnId, ConnId>,
     control: Rc<RefCell<VmControl>>,
     phase: VPhase,
     /// CPU time observed at the previous activation (for the serviced-
@@ -316,7 +283,6 @@ impl VcpuBody {
             image_path: cfg.image_path.clone(),
             image: None,
             ckpt_file: None,
-            conn_map: DetMap::new(),
             control,
             phase: VPhase::OpenImage,
             last_cpu: SimDuration::ZERO,
@@ -332,7 +298,7 @@ impl ThreadBody for VcpuBody {
             if let ActionResult::Err(e) = ctx.result {
                 panic!("vcpu: host operation failed: {e:?} in {:?}", self.phase);
             }
-            match &self.phase {
+            match &mut self.phase {
                 VPhase::OpenImage => {
                     if let ActionResult::Opened(id) = ctx.result {
                         self.image = Some(id);
@@ -373,51 +339,29 @@ impl ThreadBody for VcpuBody {
                             overhead,
                         } => {
                             self.control.borrow_mut().exits_disk += 1;
-                            self.phase = VPhase::DiskOverhead {
-                                kind,
-                                offset,
-                                bytes,
+                            let file = self.image.expect("image opened");
+                            let io = match kind {
+                                DiskRequestKind::Read => Action::FileRead { file, bytes },
+                                DiskRequestKind::Write => Action::FileWrite { file, bytes },
                             };
+                            let seek = Action::FileSeek { file, pos: offset };
+                            self.phase = VPhase::Escape(VecDeque::from([seek, io]));
                             return Action::compute(overhead);
                         }
-                        GuestStep::Net(op) => {
+                        GuestStep::Net { action, overhead } => {
+                            let mut c = self.control.borrow_mut();
+                            c.exits_net += 1;
+                            // Per-frame NAT translation work is what the
+                            // profiles charge for; count the frames it
+                            // covered (bridged vNICs translate nothing).
+                            if let Action::NetSend { bytes, .. } | Action::NetRecv { bytes, .. } =
+                                action
                             {
-                                let mut c = self.control.borrow_mut();
-                                c.exits_net += 1;
-                                // Per-frame NAT translation work is what the
-                                // profiles charge for; count the frames it
-                                // covered (bridged vNICs translate nothing).
-                                let guest = &self.guest;
-                                if guest.vnic_mode() == VnicMode::Nat {
-                                    if let GuestNetOp::Send { bytes, .. }
-                                    | GuestNetOp::Recv { bytes, .. } = &op
-                                    {
-                                        c.nat_frames += guest.frames_for(*bytes);
-                                    }
+                                if self.guest.vnic_mode() == VnicMode::Nat {
+                                    c.nat_frames += self.guest.frames_for(bytes);
                                 }
                             }
-                            let (kind, overhead) = match op {
-                                GuestNetOp::Connect {
-                                    guest_conn,
-                                    remote,
-                                    overhead,
-                                } => (NetOpKind::Connect { guest_conn, remote }, overhead),
-                                GuestNetOp::Send {
-                                    guest_conn,
-                                    bytes,
-                                    overhead,
-                                } => (NetOpKind::Send { guest_conn, bytes }, overhead),
-                                GuestNetOp::Recv {
-                                    guest_conn,
-                                    bytes,
-                                    overhead,
-                                } => (NetOpKind::Recv { guest_conn, bytes }, overhead),
-                                GuestNetOp::Close {
-                                    guest_conn,
-                                    overhead,
-                                } => (NetOpKind::Close { guest_conn }, overhead),
-                            };
-                            self.phase = VPhase::NetOverhead(kind);
+                            self.phase = VPhase::Escape(VecDeque::from([action]));
                             return Action::compute(overhead);
                         }
                         GuestStep::Idle { until } => {
@@ -441,84 +385,13 @@ impl ThreadBody for VcpuBody {
                     ctx.result = ActionResult::None;
                     continue;
                 }
-                VPhase::DiskOverhead {
-                    kind,
-                    offset,
-                    bytes,
-                } => {
-                    let (kind, offset, bytes) = (*kind, *offset, *bytes);
-                    self.phase = VPhase::DiskSeek { kind, bytes };
-                    return Action::FileSeek {
-                        file: self.image.expect("image opened"),
-                        pos: offset,
-                    };
-                }
-                VPhase::DiskSeek { kind, bytes } => {
-                    debug_assert_eq!(ctx.result, ActionResult::Sought);
-                    let (kind, bytes) = (*kind, *bytes);
-                    self.phase = VPhase::DiskIo;
-                    let file = self.image.expect("image opened");
-                    return match kind {
-                        DiskRequestKind::Read => Action::FileRead { file, bytes },
-                        DiskRequestKind::Write => Action::FileWrite { file, bytes },
-                    };
-                }
-                VPhase::DiskIo => {
-                    self.guest.complete_io(ctx.now);
+                VPhase::Escape(actions) => {
+                    if let Some(action) = actions.pop_front() {
+                        return action;
+                    }
+                    let result = std::mem::replace(&mut ctx.result, ActionResult::None);
+                    self.guest.complete_io(ctx.now, result);
                     self.phase = VPhase::Drive;
-                    ctx.result = ActionResult::None;
-                    continue;
-                }
-                VPhase::NetOverhead(kind) => match kind {
-                    NetOpKind::Connect { guest_conn, remote } => {
-                        let (gc, remote) = (*guest_conn, *remote);
-                        self.phase = VPhase::NetIo {
-                            guest_conn: gc,
-                            expect_connect: true,
-                        };
-                        return Action::NetConnect { remote };
-                    }
-                    NetOpKind::Send { guest_conn, bytes } => {
-                        let (gc, bytes) = (*guest_conn, *bytes);
-                        let host = self.conn_map[&gc];
-                        self.phase = VPhase::NetIo {
-                            guest_conn: gc,
-                            expect_connect: false,
-                        };
-                        return Action::NetSend { conn: host, bytes };
-                    }
-                    NetOpKind::Recv { guest_conn, bytes } => {
-                        let (gc, bytes) = (*guest_conn, *bytes);
-                        let host = self.conn_map[&gc];
-                        self.phase = VPhase::NetIo {
-                            guest_conn: gc,
-                            expect_connect: false,
-                        };
-                        return Action::NetRecv { conn: host, bytes };
-                    }
-                    NetOpKind::Close { guest_conn } => {
-                        let gc = *guest_conn;
-                        let host = self.conn_map.remove(&gc).expect("mapped");
-                        self.phase = VPhase::NetIo {
-                            guest_conn: gc,
-                            expect_connect: false,
-                        };
-                        return Action::NetClose { conn: host };
-                    }
-                },
-                VPhase::NetIo {
-                    guest_conn,
-                    expect_connect,
-                } => {
-                    if *expect_connect {
-                        let ActionResult::Connected(host) = ctx.result else {
-                            panic!("expected host connection, got {:?}", ctx.result)
-                        };
-                        self.conn_map.insert(*guest_conn, host);
-                    }
-                    self.guest.complete_io(ctx.now);
-                    self.phase = VPhase::Drive;
-                    ctx.result = ActionResult::None;
                     continue;
                 }
                 VPhase::CkptOpen { path } => {

@@ -3,9 +3,11 @@
 //! [`GuestVm`] is a complete guest operating system instance — its own
 //! scheduler (round-robin over one virtual CPU, like the paper's
 //! single-CPU 300 MB Ubuntu guests), its own filesystem with its own page
-//! cache, its own network stack, and its own (distortable) clock. It is
-//! *externally clocked*: it makes progress only when the host schedules
-//! its vCPU thread, which drives it through a step/complete protocol:
+//! cache, its own network stack, and its own (distortable) clock. Its
+//! file and network syscalls go through the host's own syscall table,
+//! [`Action::plan_io`]. It is *externally clocked*: it makes progress
+//! only when the host schedules its vCPU thread, which drives it through
+//! a step/complete protocol:
 //!
 //! 1. the vCPU body calls [`GuestVm::step`], receiving either a
 //!    [`GuestStep::Compute`] block (guest instructions, already dilated
@@ -26,9 +28,9 @@ use std::collections::VecDeque;
 use vgrid_machine::ops::OpBlock;
 use vgrid_machine::{CpuModel, DiskRequest, DiskRequestKind, MachineSpec};
 use vgrid_os::fs::{FileSystem, FsConfig};
-use vgrid_os::net::{NetConfig, NetStack};
-use vgrid_os::{Action, ActionResult, ConnId, RemoteHost, ThreadBody, ThreadCtx, ThreadId};
-use vgrid_simcore::{SimDuration, SimRng, SimTime};
+use vgrid_os::net::{NetConfig, NetPlan, NetStack};
+use vgrid_os::{Action, ActionResult, ConnId, IoCall, IoPlan, ThreadBody, ThreadCtx, ThreadId};
+use vgrid_simcore::{DetMap, SimDuration, SimRng, SimTime};
 use vgrid_timeref::{GuestClock, GuestClockConfig};
 
 /// Guest scheduler quantum.
@@ -73,7 +75,8 @@ pub enum GuestStep {
     /// [`GuestVm::complete_compute`].
     Compute(OpBlock),
     /// Perform a virtual-disk request: run `overhead` (device-model CPU),
-    /// then the host image I/O, then call [`GuestVm::complete_io`].
+    /// then the host image I/O, then hand its result to
+    /// [`GuestVm::complete_io`].
     DiskIo {
         /// Read or write the image.
         kind: DiskRequestKind,
@@ -84,9 +87,14 @@ pub enum GuestStep {
         /// Host CPU cost of the device emulation.
         overhead: OpBlock,
     },
-    /// Perform a virtual-NIC operation: run `overhead`, then the host
-    /// network action, then call [`GuestVm::complete_io`].
-    Net(GuestNetOp),
+    /// Perform a virtual-NIC operation: run `overhead`, then `action` on
+    /// the host, then hand its result to [`GuestVm::complete_io`].
+    Net {
+        /// The guest thread's network action, on host connection ids.
+        action: Action,
+        /// Host CPU cost of the vNIC path (per-frame translation).
+        overhead: OpBlock,
+    },
     /// No guest thread is runnable; the vCPU may halt until the given
     /// host time (if any wake is pending) or indefinitely.
     Idle {
@@ -97,45 +105,6 @@ pub enum GuestStep {
     Halted,
 }
 
-/// A guest network operation escaping to the host.
-#[derive(Debug)]
-pub enum GuestNetOp {
-    /// Open a host-side connection on behalf of the guest connection.
-    Connect {
-        /// Guest-side connection id (for the body's mapping table).
-        guest_conn: ConnId,
-        /// The peer.
-        remote: RemoteHost,
-        /// Host CPU cost of the vNIC path.
-        overhead: OpBlock,
-    },
-    /// Forward payload from the guest.
-    Send {
-        /// Guest-side connection id.
-        guest_conn: ConnId,
-        /// Payload bytes.
-        bytes: u64,
-        /// Host CPU cost of the vNIC path (per-frame translation).
-        overhead: OpBlock,
-    },
-    /// Receive payload for the guest.
-    Recv {
-        /// Guest-side connection id.
-        guest_conn: ConnId,
-        /// Payload bytes.
-        bytes: u64,
-        /// Host CPU cost of the vNIC path.
-        overhead: OpBlock,
-    },
-    /// Tear down the host-side connection.
-    Close {
-        /// Guest-side connection id.
-        guest_conn: ConnId,
-        /// Host CPU cost.
-        overhead: OpBlock,
-    },
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GState {
     Ready,
@@ -144,35 +113,21 @@ enum GState {
     Exited,
 }
 
+/// What follows a guest thread's compute block.
 #[derive(Debug)]
 enum GCont {
     Resume,
     Deliver(ActionResult),
+    /// Escape these requests to the virtual disk one at a time, then
+    /// deliver the result.
     Disk {
         reqs: VecDeque<DiskRequest>,
         result: ActionResult,
     },
-    Net(NetKind),
-}
-
-#[derive(Debug)]
-enum NetKind {
-    Connect {
-        remote: RemoteHost,
-        result: ActionResult,
-    },
-    Send {
-        conn: ConnId,
-        bytes: u64,
-        result: ActionResult,
-    },
-    Recv {
-        conn: ConnId,
-        bytes: u64,
-        result: ActionResult,
-    },
-    Close {
-        conn: ConnId,
+    /// Escape the thread's own network action to the vNIC, then deliver
+    /// the guest stack's result.
+    Net {
+        action: Action,
         result: ActionResult,
     },
 }
@@ -201,18 +156,6 @@ struct GThread {
     joiners: Vec<usize>,
 }
 
-#[derive(Debug)]
-enum PendingHost {
-    Disk {
-        tid: usize,
-        reqs: VecDeque<DiskRequest>,
-        result: ActionResult,
-    },
-    /// The network operation escaped to the host; its guest-side
-    /// result is delivered on completion.
-    Net { tid: usize, kind: NetKind },
-}
-
 /// The nested guest kernel.
 #[derive(Debug)]
 pub struct GuestVm {
@@ -228,8 +171,12 @@ pub struct GuestVm {
     ready: VecDeque<usize>,
     /// Guest thread currently bound to the vCPU.
     current: Option<usize>,
-    /// Host operation the vCPU has escaped to, if any.
-    pending_host: Option<PendingHost>,
+    /// The device operation the vCPU has escaped to, if any, with the
+    /// guest thread blocked on it.
+    escape: Option<(usize, GCont)>,
+    /// The vNIC's translation table: the host connection behind each
+    /// open guest connection.
+    host_conn: DetMap<ConnId, ConnId>,
     rng: SimRng,
 }
 
@@ -267,7 +214,8 @@ impl GuestVm {
             threads: Vec::new(),
             ready: VecDeque::new(),
             current: None,
-            pending_host: None,
+            escape: None,
+            host_conn: DetMap::new(),
             rng,
         }
     }
@@ -319,16 +267,28 @@ impl GuestVm {
     }
 
     /// Ask the guest what the vCPU should do next. Must not be called
-    /// while a compute piece is outstanding; a pending network escape
-    /// is surfaced again until [`GuestVm::complete_io`].
+    /// while a compute piece is outstanding; a pending escape is
+    /// surfaced again until [`GuestVm::complete_io`].
     pub fn step(&mut self, host_now: SimTime) -> GuestStep {
-        if let Some(PendingHost::Net { kind, .. }) = &self.pending_host {
-            return GuestStep::Net(self.net_step_for(kind));
+        // A vNIC escape surfaces before the clock observes `host_now`, a
+        // disk escape after. The two orders differ when host time passes
+        // between `complete_compute` and this call (a checkpoint).
+        if let Some((_, GCont::Net { action, .. })) = &self.escape {
+            return self.net_escape(action);
         }
         self.clock.observe(host_now);
-        // Outstanding host work queue first (multi-request FS plans).
-        if let Some(step) = self.pending_host_step() {
-            return step;
+        // Outstanding disk requests first (multi-request FS plans).
+        if let Some((_, GCont::Disk { reqs, .. })) = &self.escape {
+            let req = reqs.front().expect("a disk escape has a request left");
+            return GuestStep::DiskIo {
+                kind: req.kind,
+                offset: req.offset,
+                bytes: req.bytes,
+                overhead: self
+                    .cfg
+                    .profile
+                    .disk_overhead_block(req.bytes, self.ops_per_sec),
+            };
         }
         // Wake sleepers.
         for idx in 0..self.threads.len() {
@@ -368,11 +328,9 @@ impl GuestVm {
         };
         // Activation loop: pull actions until a timed one.
         if self.threads[idx].exec.is_none() {
-            if let Some(step) = self.activate(idx, host_now) {
-                return step;
-            }
-            // Thread blocked/exited/yielded during activation: recurse to
-            // pick another (bounded by thread count, not unbounded: each
+            self.activate(idx, host_now);
+            // The thread computes now, or it blocked, exited or yielded:
+            // step again (bounded by thread count, not unbounded: each
             // recursion retires at least one activation).
             return self.step(host_now);
         }
@@ -393,28 +351,31 @@ impl GuestVm {
         GuestStep::Compute(host_block)
     }
 
-    fn pending_host_step(&mut self) -> Option<GuestStep> {
-        match &self.pending_host {
-            Some(PendingHost::Disk { reqs, .. }) if !reqs.is_empty() => {
-                let req = reqs.front().expect("non-empty");
-                Some(GuestStep::DiskIo {
-                    kind: req.kind,
-                    offset: req.offset,
-                    bytes: req.bytes,
-                    overhead: self
-                        .cfg
-                        .profile
-                        .disk_overhead_block(req.bytes, self.ops_per_sec),
-                })
+    /// The vNIC escape of a guest network action: the action on host
+    /// connection ids, and the monitor's cost of forwarding its frames.
+    fn net_escape(&self, action: &Action) -> GuestStep {
+        let host = |conn: ConnId| self.host_conn[&conn];
+        let (action, frames) = match *action {
+            Action::NetConnect { remote } => (Action::NetConnect { remote }, 2),
+            Action::NetSend { conn, bytes } => {
+                let conn = host(conn);
+                (Action::NetSend { conn, bytes }, self.frames_for(bytes))
             }
-            _ => None,
-        }
+            Action::NetRecv { conn, bytes } => {
+                let conn = host(conn);
+                (Action::NetRecv { conn, bytes }, self.frames_for(bytes))
+            }
+            Action::NetClose { conn } => (Action::NetClose { conn: host(conn) }, 1),
+            _ => unreachable!("only network actions escape to the vNIC"),
+        };
+        let profile = &self.cfg.profile;
+        let overhead = profile.net_overhead_block(frames, self.cfg.vnic_mode, self.ops_per_sec);
+        GuestStep::Net { action, overhead }
     }
 
-    /// Activation loop; returns a host step if the action needs one
-    /// immediately (net ops), else None after installing exec/changing
-    /// state.
-    fn activate(&mut self, idx: usize, host_now: SimTime) -> Option<GuestStep> {
+    /// Drive guest thread `idx` through zero-time actions until it has a
+    /// block to compute, blocks, yields or exits.
+    fn activate(&mut self, idx: usize, host_now: SimTime) {
         let mut fuse = 0;
         loop {
             fuse += 1;
@@ -439,6 +400,28 @@ impl GuestVm {
                 body.next(&mut ctx)
             };
             self.threads[idx].body = Some(body);
+            if let Some(call) = action.plan_io(&mut self.fs, &mut self.net) {
+                // The guest kernel's own syscall work runs on the vCPU
+                // first; device work then escapes to the host.
+                let (block, cont) = match call {
+                    IoCall::File(IoPlan { cpu, disk, result }) if disk.is_empty() => {
+                        (cpu, GCont::Deliver(result))
+                    }
+                    IoCall::File(IoPlan { cpu, disk, result }) => {
+                        let reqs = disk.into();
+                        (cpu, GCont::Disk { reqs, result })
+                    }
+                    IoCall::Net(NetPlan { cpu, result, .. }) => {
+                        (cpu, GCont::Net { action, result })
+                    }
+                };
+                self.threads[idx].exec = Some(GExec {
+                    block,
+                    in_flight: None,
+                    cont,
+                });
+                return;
+            }
             match action {
                 Action::Compute(block) => {
                     if self.cpu.solo_estimate(&block).duration.is_zero() {
@@ -453,100 +436,7 @@ impl GuestVm {
                         in_flight: None,
                         cont: GCont::Resume,
                     });
-                    return None;
-                }
-                Action::FileOpen {
-                    path,
-                    create,
-                    truncate,
-                    direct,
-                } => {
-                    let plan = self.fs.open(&path, create, truncate, direct);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::FileRead { file, bytes } => {
-                    let plan = self.fs.read(file, bytes);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::FileWrite { file, bytes } => {
-                    let plan = self.fs.write(file, bytes);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::FileSync { file } => {
-                    let plan = self.fs.sync(file);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::FileSeek { file, pos } => {
-                    let plan = self.fs.seek(file, pos);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::FileClose { file } => {
-                    let plan = self.fs.close(file);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::FileDelete { path } => {
-                    let plan = self.fs.delete(&path);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::FileDropCache { file } => {
-                    let plan = self.fs.drop_cache(file);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::NetConnect { remote } => {
-                    let plan = self.net.connect(remote);
-                    let result = plan.result.clone();
-                    self.threads[idx].exec = Some(GExec {
-                        block: plan.cpu,
-                        in_flight: None,
-                        cont: GCont::Net(NetKind::Connect { remote, result }),
-                    });
-                    return None;
-                }
-                Action::NetSend { conn, bytes } => {
-                    let plan = self.net.send(conn, bytes);
-                    let result = plan.result.clone();
-                    self.threads[idx].exec = Some(GExec {
-                        block: plan.cpu,
-                        in_flight: None,
-                        cont: GCont::Net(NetKind::Send {
-                            conn,
-                            bytes,
-                            result,
-                        }),
-                    });
-                    return None;
-                }
-                Action::NetRecv { conn, bytes } => {
-                    let plan = self.net.recv(conn, bytes);
-                    let result = plan.result.clone();
-                    self.threads[idx].exec = Some(GExec {
-                        block: plan.cpu,
-                        in_flight: None,
-                        cont: GCont::Net(NetKind::Recv {
-                            conn,
-                            bytes,
-                            result,
-                        }),
-                    });
-                    return None;
-                }
-                Action::NetClose { conn } => {
-                    let plan = self.net.close(conn);
-                    let result = plan.result.clone();
-                    self.threads[idx].exec = Some(GExec {
-                        block: plan.cpu,
-                        in_flight: None,
-                        cont: GCont::Net(NetKind::Close { conn, result }),
-                    });
-                    return None;
+                    return;
                 }
                 Action::Sleep(d) => {
                     let th = &mut self.threads[idx];
@@ -554,7 +444,7 @@ impl GuestVm {
                     th.state = GState::Blocked;
                     th.wake_at = Some(host_now + d);
                     self.current = None;
-                    return None;
+                    return;
                 }
                 Action::YieldCpu => {
                     let th = &mut self.threads[idx];
@@ -563,7 +453,7 @@ impl GuestVm {
                     th.quantum_left = QUANTUM;
                     self.ready.push_back(idx);
                     self.current = None;
-                    return None;
+                    return;
                 }
                 Action::Spawn { name, body, .. } => {
                     // Guest priorities are ignored: single-vCPU RR.
@@ -580,49 +470,19 @@ impl GuestVm {
                     self.threads[target].joiners.push(idx);
                     self.threads[idx].state = GState::Blocked;
                     self.current = None;
-                    return None;
+                    return;
                 }
                 Action::Exit => {
-                    let joiners = {
-                        let th = &mut self.threads[idx];
-                        th.state = GState::Exited;
-                        std::mem::take(&mut th.joiners)
-                    };
-                    for j in joiners {
-                        let jt = &mut self.threads[j];
-                        if jt.state == GState::Blocked {
-                            jt.pending = ActionResult::Joined;
-                            jt.state = GState::Ready;
-                            self.ready.push_back(j);
-                        }
+                    self.threads[idx].state = GState::Exited;
+                    for j in std::mem::take(&mut self.threads[idx].joiners) {
+                        self.deliver(j, ActionResult::Joined);
                     }
                     self.current = None;
-                    return None;
+                    return;
                 }
+                _ => unreachable!("file and network actions are planned above"),
             }
         }
-    }
-
-    fn install_plan(
-        &mut self,
-        idx: usize,
-        cpu: OpBlock,
-        disk: Vec<DiskRequest>,
-        result: ActionResult,
-    ) {
-        let cont = if disk.is_empty() {
-            GCont::Deliver(result)
-        } else {
-            GCont::Disk {
-                reqs: disk.into(),
-                result,
-            }
-        };
-        self.threads[idx].exec = Some(GExec {
-            block: cpu,
-            in_flight: None,
-            cont,
-        });
     }
 
     /// The compute piece returned by the last [`GuestVm::step`] finished
@@ -653,19 +513,10 @@ impl GuestVm {
                 GCont::Deliver(r) => {
                     self.threads[idx].pending = r;
                 }
-                GCont::Disk { reqs, result } => {
-                    self.threads[idx].state = GState::Blocked;
-                    self.pending_host = Some(PendingHost::Disk {
-                        tid: idx,
-                        reqs,
-                        result,
-                    });
-                    self.current = None;
-                }
-                GCont::Net(kind) => {
+                device => {
                     self.threads[idx].state = GState::Blocked;
                     self.current = None;
-                    self.pending_host = Some(PendingHost::Net { tid: idx, kind });
+                    self.escape = Some((idx, device));
                 }
             }
         } else if quantum <= SimDuration::from_nanos(1) && !self.ready.is_empty() {
@@ -678,81 +529,35 @@ impl GuestVm {
         }
     }
 
-    /// The net step corresponding to a pending net op (surfaced right
-    /// after the compute that carried the guest stack work).
-    fn net_step_for(&self, kind: &NetKind) -> GuestNetOp {
-        let frames = |bytes: u64| self.net.nic().link.frames_for(bytes);
-        let mode = self.cfg.vnic_mode;
-        match kind {
-            NetKind::Connect { remote, result } => {
-                let ActionResult::Connected(c) = result else {
-                    unreachable!("connect result")
-                };
-                GuestNetOp::Connect {
-                    guest_conn: *c,
-                    remote: *remote,
-                    overhead: self
-                        .cfg
-                        .profile
-                        .net_overhead_block(2, mode, self.ops_per_sec),
-                }
-            }
-            NetKind::Send { conn, bytes, .. } => GuestNetOp::Send {
-                guest_conn: *conn,
-                bytes: *bytes,
-                overhead: self.cfg.profile.net_overhead_block(
-                    frames(*bytes),
-                    mode,
-                    self.ops_per_sec,
-                ),
-            },
-            NetKind::Recv { conn, bytes, .. } => GuestNetOp::Recv {
-                guest_conn: *conn,
-                bytes: *bytes,
-                overhead: self.cfg.profile.net_overhead_block(
-                    frames(*bytes),
-                    mode,
-                    self.ops_per_sec,
-                ),
-            },
-            NetKind::Close { conn, .. } => GuestNetOp::Close {
-                guest_conn: *conn,
-                overhead: self
-                    .cfg
-                    .profile
-                    .net_overhead_block(1, mode, self.ops_per_sec),
-            },
-        }
-    }
-
-    /// A host I/O operation issued for the guest completed. I/O service
-    /// gaps are fully serviced (the monitor keeps delivering ticks while
-    /// the guest waits for its own devices).
-    pub fn complete_io(&mut self, host_now: SimTime) {
+    /// The host side of the escaped device operation finished at
+    /// `host_now` with `host_result`. I/O service gaps are fully
+    /// serviced (the monitor keeps delivering ticks while the guest
+    /// waits for its own devices). A vNIC connect records the host
+    /// connection behind the guest's; a close forgets it.
+    pub fn complete_io(&mut self, host_now: SimTime, host_result: ActionResult) {
         self.clock.observe_with_service(host_now, SimDuration::MAX);
-        match self.pending_host.take() {
-            Some(PendingHost::Disk {
-                tid,
-                mut reqs,
-                result,
-            }) => {
+        let escape = self.escape.take();
+        match escape.expect("complete_io with no pending host operation") {
+            (tid, GCont::Disk { mut reqs, result }) => {
                 reqs.pop_front().expect("a request was outstanding");
                 if reqs.is_empty() {
                     self.deliver(tid, result);
                 } else {
-                    self.pending_host = Some(PendingHost::Disk { tid, reqs, result });
+                    self.escape = Some((tid, GCont::Disk { reqs, result }));
                 }
             }
-            Some(PendingHost::Net { tid, kind }) => {
-                let result = match kind {
-                    NetKind::Connect { result, .. }
-                    | NetKind::Send { result, .. }
-                    | NetKind::Recv { result, .. }
-                    | NetKind::Close { result, .. } => result,
-                };
+            (tid, GCont::Net { action, result }) => {
+                if let (ActionResult::Connected(guest), ActionResult::Connected(host)) =
+                    (&result, host_result)
+                {
+                    self.host_conn.insert(*guest, host);
+                }
+                if let Action::NetClose { conn } = action {
+                    self.host_conn.remove(&conn);
+                }
                 self.deliver(tid, result);
             }
-            None => panic!("complete_io with no pending host operation"),
+            (_, GCont::Resume | GCont::Deliver(_)) => unreachable!("only device work escapes"),
         }
     }
 
@@ -770,6 +575,7 @@ impl GuestVm {
 mod tests {
     use super::*;
     use vgrid_machine::ops::OpBlock as OB;
+    use vgrid_os::RemoteHost;
 
     #[derive(Debug)]
     struct Burn {
@@ -929,7 +735,7 @@ mod tests {
                     assert_eq!(bytes, 1 << 20);
                     assert!(overhead.counts.int_ops > 0, "emulation costs CPU");
                     host += SimDuration::from_millis(20);
-                    g.complete_io(host);
+                    g.complete_io(host, ActionResult::Wrote { bytes });
                 }
                 GuestStep::Halted => break,
                 GuestStep::Idle { .. } => {
@@ -989,6 +795,146 @@ mod tests {
             g.clock.total_lag() > SimDuration::from_millis(500),
             "lag {}",
             g.clock.total_lag()
+        );
+    }
+
+    /// Opens two connections to a LAN source, receives and sends on
+    /// each, closes both, and logs every result it is handed.
+    #[derive(Debug)]
+    struct TwoConns {
+        log: std::rc::Rc<std::cell::RefCell<Vec<ActionResult>>>,
+        conns: Vec<ConnId>,
+        step: usize,
+    }
+    impl ThreadBody for TwoConns {
+        fn next(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
+            if let ActionResult::Connected(c) = ctx.result {
+                self.conns.push(c);
+            }
+            self.log.borrow_mut().push(ctx.result.clone());
+            self.step += 1;
+            let remote = RemoteHost::lan_source();
+            match self.step {
+                1 | 2 => Action::NetConnect { remote },
+                3 => Action::NetRecv {
+                    conn: self.conns[0],
+                    bytes: 64 << 10,
+                },
+                4 => Action::NetSend {
+                    conn: self.conns[0],
+                    bytes: 8 << 10,
+                },
+                5 => Action::NetRecv {
+                    conn: self.conns[1],
+                    bytes: 1 << 20,
+                },
+                6 => Action::NetSend {
+                    conn: self.conns[1],
+                    bytes: 256 << 10,
+                },
+                7 => Action::NetClose {
+                    conn: self.conns[0],
+                },
+                8 => Action::NetClose {
+                    conn: self.conns[1],
+                },
+                _ => Action::Exit,
+            }
+        }
+    }
+
+    /// Drive [`TwoConns`] by hand on a VmPlayer guest in `mode`, acting
+    /// as the host: its connects are answered with host ids 7 and 3,
+    /// unlike the guest's own 1 and 2. Returns every escaped action with
+    /// its vNIC overhead, and the results the thread saw.
+    fn drive_two_conns(mode: VnicMode) -> (Vec<(Action, OpBlock)>, Vec<ActionResult>) {
+        let mut g = GuestVm::new(
+            GuestConfig::new(VmmProfile::vmplayer()).with_vnic(mode),
+            &MachineSpec::core2_duo_6600(),
+        );
+        let log = std::rc::Rc::default();
+        let body = TwoConns {
+            log: std::rc::Rc::clone(&log),
+            conns: Vec::new(),
+            step: 0,
+        };
+        g.spawn("net", Box::new(body));
+        let mut host_ids = vec![ConnId(3), ConnId(7)];
+        let mut escaped = Vec::new();
+        let mut host = SimTime::ZERO;
+        loop {
+            host += SimDuration::from_millis(1);
+            match g.step(host) {
+                GuestStep::Compute(_) => g.complete_compute(host, SimDuration::MAX),
+                GuestStep::Net { action, overhead } => {
+                    let result = match action {
+                        Action::NetConnect { .. } => {
+                            ActionResult::Connected(host_ids.pop().expect("two connects"))
+                        }
+                        Action::NetSend { bytes, .. } => ActionResult::Sent { bytes },
+                        Action::NetRecv { bytes, .. } => ActionResult::Received { bytes },
+                        Action::NetClose { .. } => ActionResult::NetClosed,
+                        ref other => panic!("not a network action: {other:?}"),
+                    };
+                    escaped.push((action, overhead));
+                    g.complete_io(host, result);
+                }
+                GuestStep::Halted => break,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let results = log.borrow().clone();
+        (escaped, results)
+    }
+
+    #[test]
+    fn vnic_escapes_carry_host_connection_ids() {
+        let (nat, results) = drive_two_conns(VnicMode::Nat);
+        let host_conns: Vec<_> = nat
+            .iter()
+            .filter_map(|(a, _)| match *a {
+                Action::NetSend { conn, .. }
+                | Action::NetRecv { conn, .. }
+                | Action::NetClose { conn } => Some(conn.0),
+                _ => None,
+            })
+            .collect();
+        // recv/send on the first connection, then on the second, then
+        // close both: each on its own connection's host id.
+        assert_eq!(host_conns, [7, 7, 3, 3, 7, 3]);
+        // The vNIC charges per frame moved: 2 for a connect, 1 for a
+        // close, one per MSS of payload.
+        let ops = |escapes: &[(Action, OpBlock)]| -> Vec<u64> {
+            escapes.iter().map(|(_, o)| o.counts.int_ops).collect()
+        };
+        let n = ops(&nat);
+        assert_eq!(n.len(), 8);
+        assert!(n[7] < n[0], "close (1 frame) vs connect (2): {n:?}");
+        assert!(n[0] < n[3], "connect vs an 8 KiB send: {n:?}");
+        assert!(n[3] < n[2] && n[2] < n[5] && n[5] < n[4], "{n:?}");
+        // NAT translation costs more than bridging for the same bytes.
+        let (bridged, bridged_results) = drive_two_conns(VnicMode::Bridged);
+        assert_eq!(bridged_results, results);
+        let b = ops(&bridged);
+        assert!(
+            n.iter().zip(&b).all(|(n, b)| n > b),
+            "NAT {n:?}, bridged {b:?}"
+        );
+        // The thread sees its guest-side results, on guest ids, in order.
+        let (g1, g2) = (ConnId(1), ConnId(2));
+        assert_eq!(
+            results,
+            [
+                ActionResult::None,
+                ActionResult::Connected(g1),
+                ActionResult::Connected(g2),
+                ActionResult::Received { bytes: 64 << 10 },
+                ActionResult::Sent { bytes: 8 << 10 },
+                ActionResult::Received { bytes: 1 << 20 },
+                ActionResult::Sent { bytes: 256 << 10 },
+                ActionResult::NetClosed,
+                ActionResult::NetClosed,
+            ]
         );
     }
 }

@@ -7,13 +7,16 @@
 //! * [`profiles::VmmProfile`] — calibrated per-product cost parameters
 //!   (instruction dilation, device-exit costs, vNIC per-frame costs,
 //!   host service duty, committed memory);
-//! * [`guest::GuestVm`] — a full nested guest kernel (scheduler, page
-//!   cache, network stack, distortable clock) driven by the host through
-//!   a step/complete protocol;
-//! * [`body`] — the host-side threads of a running VM: one thread per
-//!   vCPU executing dilated guest work and escaping device operations to
-//!   host file/network I/O, and the service thread burning the monitor's
-//!   fixed emulation duty; plus VM lifecycle (install, checkpoint).
+//! * [`guest::GuestVm`] — a full nested single-vCPU guest kernel
+//!   (scheduler, page cache, network stack, distortable clock) over the
+//!   host's own syscall table, driven by the host through a
+//!   step/complete protocol;
+//! * [`body`] — the host-side threads of a running VM: the vCPU thread
+//!   executing dilated guest work and escaping device operations to the
+//!   host as `os` actions (image seek then read or write; the guest's
+//!   own socket call on host connection ids), and the service thread
+//!   burning the monitor's fixed emulation duty; plus VM lifecycle
+//!   (install, checkpoint).
 //!
 //! ```
 //! use vgrid_machine::ops::OpBlock;
@@ -49,5 +52,5 @@ pub mod guest;
 pub mod profiles;
 
 pub use body::{Vm, VmConfig, VmHandle};
-pub use guest::{GuestConfig, GuestNetOp, GuestStep, GuestVm};
+pub use guest::{GuestConfig, GuestStep, GuestVm};
 pub use profiles::{VmmProfile, VnicMode};

@@ -4,16 +4,16 @@
 #
 #   ./scripts/verify.sh
 #
-# Runs the same gates as CI: formatting, lints (warnings are errors),
-# the determinism lint, the test suite for the default workspace
-# members, the simcore tests again in release (the tests behind
-# `#[cfg(not(debug_assertions))]`, e.g. the event queues' past-schedule
-# clamp, only compile there), a fault-injection smoke run, the
-# EXPERIMENTS.md byte-identity check (zero churn must leave every figure
-# untouched) and the fig1 run manifest byte-identity check against the
-# committed golden. The bench crate and the in-repo criterion/proptest
-# shims are outside the default members and are exercised by
-# `cargo build --workspace`.
+# Runs the same gates as CI: formatting, lints over the whole workspace
+# (warnings are errors; the bench crate and the in-repo
+# criterion/proptest shims included, though they are outside the
+# default members), the determinism lint, the test suite for the
+# default workspace members, the simcore tests again in release (the
+# tests behind `#[cfg(not(debug_assertions))]`, e.g. the event queues'
+# past-schedule clamp, only compile there), a fault-injection smoke
+# run, the EXPERIMENTS.md byte-identity check (zero churn must leave
+# every figure untouched) and the fig1 run manifest byte-identity check
+# against the committed golden.
 #
 # Each step's wall time is summarized at the end — reported for humans
 # and CI logs only, never gated (DESIGN.md §11).
@@ -67,8 +67,8 @@ migration_gate() {
 step "cargo fmt --check" \
   cargo fmt --all -- --check
 
-step "cargo clippy (default members, -D warnings)" \
-  cargo clippy --all-targets -- -D warnings
+step "cargo clippy (whole workspace, -D warnings)" \
+  cargo clippy --workspace --all-targets -- -D warnings
 
 step "simlint (determinism + shared-state contracts: exit 0 = clean, 1 = violations)" \
   cargo run -q -p simlint
