@@ -36,6 +36,12 @@
 //! held flip due at the same picosecond as another event has no queue
 //! order, so a campaign that meets one reruns cold with every flip
 //! queued (DESIGN.md §12, "Parked hosts").
+//!
+//! On the same substrate, a host's owner arrivals and departures,
+//! sandbox kills, activity completions and evacuation audits are queued
+//! only when due before its next availability flip: a later one would
+//! pop after that flip and find its generation retired (DESIGN.md §12,
+//! "Span-bound events").
 
 use crate::archetype::{self, ArchetypeKey, SegmentSolution};
 use crate::checkpoint::{
@@ -293,13 +299,15 @@ impl<'a> FaultCtx<'a> {
 /// host-stepping logic, the segment solver, the hydration probes and
 /// the transfer price, and differ only in the event queue, in how the
 /// work queue materializes, in whether idle hosts' flips are held off
-/// the queue (parked), and in trajectory reuse — all validated by the
+/// the queue (parked), in whether events past their host's next flip
+/// are queued, and in trajectory reuse — all validated by the
 /// grid oracle (`crates/grid/tests/oracle.rs`) and `hydration_reference`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubstrateMode {
     /// Archetype-batched analytic substrate on the radix-heap event
-    /// queue, with the lazy work queue, parked hosts and the trajectory
-    /// cache while fast-forward is on (the default).
+    /// queue, with the lazy work queue, parked hosts, no span-bound
+    /// event past its host's next flip and the trajectory cache while
+    /// fast-forward is on (the default).
     Batched,
     /// Reference substrate: flat binary-heap event queue, eager work
     /// queue, no trajectory reuse (`--hydrated-reference`).
@@ -414,6 +422,13 @@ pub(crate) struct SimState {
     makespan: Option<SimTime>,
     idle: IdleSet,
     park: Parking,
+    /// Each host's next availability flip: queued, held while parked,
+    /// or past once the host left for good.
+    next_flip: Vec<SimTime>,
+    /// Span-bound events due at or after their host's next flip are not
+    /// queued (DESIGN.md §12, "Span-bound events"). Decided once, in
+    /// [`Run::start`]: on exactly where the work queue is lazy.
+    prune: bool,
     /// Checkpoint exports currently crossing the server NIC; each new
     /// export contends with these (migration policy only — always zero
     /// otherwise).
@@ -461,10 +476,11 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
     /// Build a cold campaign: the initial state and the staggered
     /// power-ons, every random draw in the exact legacy order. `lazy`
     /// (batched substrate, fast-forward on) materializes fresh copies
-    /// when a host takes them and parks hosts while churn and the
-    /// migration policy are off; otherwise every copy is materialized up
-    /// front and every flip is queued (the reference substrate, the kill
-    /// switch and the tie fallback).
+    /// when a host takes them, queues no span-bound event past its
+    /// host's next flip, and parks hosts while churn and the migration
+    /// policy are off; otherwise every copy is materialized up front and
+    /// every event is queued (the reference substrate, the kill switch
+    /// and the tie fallback).
     fn start(
         project: &'a ProjectConfig,
         pool: &'a PoolConfig,
@@ -565,9 +581,12 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
         };
 
         // Stagger initial power-ons.
+        let mut next_flip = Vec::with_capacity(hosts.len());
         for (h, host) in hosts.iter_mut().enumerate() {
             let delay = host.rng.exponential(pool.mean_downtime_secs / 4.0);
-            q.schedule(SimTime::from_secs_f64(delay), Ev::Up { h, gen: 0 });
+            let at = SimTime::from_secs_f64(delay);
+            next_flip.push(at);
+            q.schedule(at, Ev::Up { h, gen: 0 });
         }
 
         // Hosts currently idle — kept in lockstep with host state so
@@ -601,6 +620,8 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
                 makespan: None,
                 idle,
                 park,
+                next_flip,
+                prune: lazy,
                 inflight_xfers: 0,
             },
             q,
@@ -659,6 +680,14 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
             if self.st.park.on && self.tied_at_pop(now, &ev) {
                 return None;
             }
+            if let Ev::OwnerArrive { h, gen } | Ev::OwnerLeave { h, gen } | Ev::VmKill { h, gen } =
+                ev
+            {
+                debug_assert!(
+                    !self.st.prune || self.st.hosts[h].live(gen),
+                    "{ev:?} of host {h} was queued past the host's flip"
+                );
+            }
             self.now = now;
             match ev {
                 Ev::Up { h, gen } => self.up(h, gen),
@@ -708,9 +737,9 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
     /// every one of those instants.
     fn settle(&mut self, h: usize, t: SimTime) {
         let (queue, now) = (std::mem::take(&mut self.st.queue), self.now);
-        while self.st.park.parked.contains(h) && self.st.park.flip_at[h] < t {
+        while self.st.park.parked.contains(h) && self.st.next_flip[h] < t {
             self.st.park.parked.remove(h);
-            self.now = self.st.park.flip_at[h];
+            self.now = self.st.next_flip[h];
             let host = &self.st.hosts[h];
             if host.up {
                 self.down(h, host.life_gen);
@@ -727,7 +756,8 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
         let park = &mut self.st.park;
         park.parked.remove(h);
         park.requeued.insert(h);
-        self.q.schedule(park.flip_at[h], self.st.hosts[h].flip(h));
+        self.q
+            .schedule(self.st.next_flip[h], self.st.hosts[h].flip(h));
     }
 
     /// Settle every parked host at the loop exit: its flips up to
@@ -748,7 +778,7 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
         if let Some(m) = self.st.makespan {
             let park = &self.st.park;
             let mut held = park.parked.iter().chain(park.requeued.iter());
-            if held.any(|h| park.flip_at[h] == m) {
+            if held.any(|h| self.st.next_flip[h] == m) {
                 return Err(Tie);
             }
         }
@@ -942,7 +972,11 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
         let session = self.st.hosts[h]
             .frng
             .exponential(self.fctx.churn.owner_session_mean_secs);
-        self.after_secs(session, Ev::OwnerLeave { h, gen });
+        self.in_span(
+            h,
+            SimDuration::from_secs_f64(session),
+            Ev::OwnerLeave { h, gen },
+        );
         self.sync_idle(h);
     }
 
@@ -1130,6 +1164,19 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
         self.after(SimDuration::from_secs_f64(secs), ev);
     }
 
+    /// Schedule host `h`'s span-bound event `ev` (an owner arrival or
+    /// departure, a sandbox kill, an activity completion or an
+    /// evacuation audit) `delay` from now. In a campaign that prunes, an
+    /// event due at or after the host's next flip is dropped: the flip
+    /// was queued first, so it pops first and retires the event by
+    /// generation (DESIGN.md §12, "Span-bound events").
+    fn in_span(&mut self, h: usize, delay: SimDuration, ev: Ev) {
+        let at = self.now.saturating_add(delay);
+        if !self.st.prune || at < self.st.next_flip[h] {
+            self.q.schedule(at, ev);
+        }
+    }
+
     /// Host `h`'s compute rate: reference seconds per host second.
     fn rate(&self, h: usize) -> f64 {
         self.st.probe.solution.rate(self.st.hosts[h].speed)
@@ -1162,11 +1209,12 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
         c.returned || self.st.validator.is_validated(c.wu)
     }
 
-    /// Draw host `h`'s next availability span (mean `mean`) and schedule
-    /// the flip that ends it, or hold it when the host parks: it has the
-    /// image and no activity while the work queue is empty, in a
-    /// campaign that parks. The new `life_gen` retires every event of
-    /// the span before; it is returned for arming the new span.
+    /// Draw host `h`'s next availability span (mean `mean`), record the
+    /// flip that ends it as the host's next flip, and schedule it, or
+    /// hold it when the host parks: it has the image and no activity
+    /// while the work queue is empty, in a campaign that parks. The new
+    /// `life_gen` retires every event of the span before; it is returned
+    /// for arming the new span.
     fn next_span(&mut self, h: usize, mean: f64) -> u64 {
         let host = &mut self.st.hosts[h];
         let churn = self.fctx.churn;
@@ -1178,10 +1226,10 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
         );
         host.life_gen += 1;
         let at = self.now.saturating_add(SimDuration::from_secs_f64(span));
+        self.st.next_flip[h] = at;
         let park = &mut self.st.park;
         if park.on && host.has_image && host.activity.is_none() && self.st.queue.is_empty() {
             park.parked.insert(h);
-            park.flip_at[h] = at;
         } else {
             self.q.schedule(at, host.flip(h));
         }
@@ -1196,7 +1244,7 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
     fn arm_fault(&mut self, h: usize, mean: f64, ev: Ev) {
         if mean > 0.0 {
             let wait = self.st.hosts[h].frng.exponential(mean);
-            self.after_secs(wait, ev);
+            self.in_span(h, SimDuration::from_secs_f64(wait), ev);
         }
     }
 
@@ -1213,7 +1261,7 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
             return;
         }
         let gen = self.st.hosts[h].act_gen;
-        self.after(interval, Ev::EvacCheck { h, gen });
+        self.in_span(h, interval, Ev::EvacCheck { h, gen });
     }
 
     /// Start host `h`'s current activity now: retire any pending
@@ -1225,7 +1273,7 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
         host.act_started = self.now;
         host.act_gen += 1;
         let gen = host.act_gen;
-        self.after_secs(secs, Ev::ActDone { h, gen });
+        self.in_span(h, SimDuration::from_secs_f64(secs), Ev::ActDone { h, gen });
         self.arm_evac_check(h);
     }
 
@@ -1372,8 +1420,7 @@ impl<'a, Q: EventScheduler<Ev>> Run<'a, Q> {
                 self.settle(h, self.now);
                 // A flip held for this very picosecond may have fired
                 // before or after the event that kicks.
-                let park = &self.st.park;
-                self.tie |= park.parked.contains(h) && park.flip_at[h] == self.now;
+                self.tie |= self.st.park.parked.contains(h) && self.st.next_flip[h] == self.now;
                 if !self.st.hosts[h].idle() {
                     continue;
                 }
@@ -1736,8 +1783,9 @@ impl IdleSet {
 
 /// The parked hosts of a campaign (DESIGN.md §12): hosts with the image
 /// and no activity, parked while the work queue was empty, whose next
-/// availability flip is held in `flip_at` instead of the event queue.
-/// The default, for campaigns that do not park, is off and empty.
+/// availability flip is held at its time in [`SimState`]'s `next_flip`
+/// instead of on the event queue. The default, for campaigns that do
+/// not park, is off and empty.
 #[derive(Debug, Clone, Default)]
 struct Parking {
     /// The campaign parks: batched substrate with fast-forward on, no
@@ -1748,8 +1796,6 @@ struct Parking {
     /// Hosts whose held flip went back on the event queue and has not
     /// popped yet.
     requeued: BitSet,
-    /// Each parked or re-queued host's next flip time.
-    flip_at: Vec<SimTime>,
 }
 
 impl Parking {
@@ -1759,7 +1805,6 @@ impl Parking {
             on: true,
             parked: BitSet::new(hosts),
             requeued: BitSet::new(hosts),
-            flip_at: vec![SimTime::ZERO; hosts],
         }
     }
 }
@@ -2239,6 +2284,46 @@ mod tests {
         assert!(
             queued_events >= 10 * parked_events,
             "parking scheduled {parked_events} events, queuing every flip {queued_events}"
+        );
+    }
+
+    #[test]
+    fn churned_hosts_schedule_no_event_past_their_flip() {
+        // The benchmark's churned 15,000-host fortnight at 1/10 scale.
+        // At churn 1 an up-span has a 4 h mean, an owner arrival and a
+        // sandbox kill 4 h and 48 h, so most kills and half the
+        // arrivals armed in a span fall after it ends.
+        let project = ProjectConfig {
+            workunits: 750,
+            wu_ref_secs: 4.0 * 3600.0,
+            replication: 2,
+            quorum: 2,
+            deadline: SimDuration::from_secs(7 * 24 * 3600),
+            ..Default::default()
+        };
+        let pool = PoolConfig {
+            volunteers: 1_500,
+            ..Default::default()
+        };
+        let deploy = DeployConfig::vm(VmmProfile::qemu(), 300 << 20);
+        let churn = ChurnConfig::intensity(1.0);
+        let run = |lazy| {
+            let scheduled = Rc::new(Cell::new(0));
+            let q = Counting {
+                inner: RadixQueue::new(),
+                scheduled: Rc::clone(&scheduled),
+            };
+            let report = Run::start(&project, &pool, &deploy, &churn, 1, lazy, q)
+                .finish(SimTime::from_secs(14 * 24 * 3600), None)
+                .expect("a churned campaign parks no host");
+            (report, scheduled.get())
+        };
+        let (pruned, pruned_events) = run(true);
+        let (queued, queued_events) = run(false);
+        assert_eq!(pruned, queued);
+        assert!(
+            5 * pruned_events <= 4 * queued_events,
+            "pruning scheduled {pruned_events} events, queuing every event {queued_events}"
         );
     }
 

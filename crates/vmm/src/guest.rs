@@ -411,6 +411,13 @@ impl GuestVm {
                         let reqs = disk.into();
                         (cpu, GCont::Disk { reqs, result })
                     }
+                    // A call the guest stack fails never reaches the
+                    // vNIC: the thread gets the error, as on the host.
+                    IoCall::Net(NetPlan {
+                        cpu,
+                        result: result @ ActionResult::Err(_),
+                        ..
+                    }) => (cpu, GCont::Deliver(result)),
                     IoCall::Net(NetPlan { cpu, result, .. }) => {
                         (cpu, GCont::Net { action, result })
                     }
@@ -936,5 +943,76 @@ mod tests {
                 ActionResult::NetClosed,
             ]
         );
+    }
+
+    /// Connects to a LAN sink, receives from it, closes it twice, and
+    /// logs every result it is handed.
+    #[derive(Debug)]
+    struct FailingNetCalls {
+        log: std::rc::Rc<std::cell::RefCell<Vec<ActionResult>>>,
+        conn: ConnId,
+        step: usize,
+    }
+    impl ThreadBody for FailingNetCalls {
+        fn next(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
+            if let ActionResult::Connected(c) = ctx.result {
+                self.conn = c;
+            }
+            self.log.borrow_mut().push(ctx.result.clone());
+            self.step += 1;
+            let conn = self.conn;
+            match self.step {
+                1 => Action::NetConnect {
+                    remote: RemoteHost::lan_sink(),
+                },
+                2 => Action::NetRecv {
+                    conn,
+                    bytes: 64 << 10,
+                },
+                3 | 4 => Action::NetClose { conn },
+                _ => Action::Exit,
+            }
+        }
+    }
+
+    #[test]
+    fn failed_guest_network_calls_reach_the_guest_thread() {
+        use crate::body::{Vm, VmConfig};
+        use vgrid_os::{OsError, Priority, System, SystemConfig};
+        let body = |log: &std::rc::Rc<_>| {
+            Box::new(FailingNetCalls {
+                log: std::rc::Rc::clone(log),
+                conn: ConnId(0),
+                step: 0,
+            })
+        };
+        let native = std::rc::Rc::default();
+        let mut sys = System::new(SystemConfig::testbed(11));
+        sys.spawn("net", Priority::Normal, body(&native));
+        sys.run_until(SimTime::from_secs(1));
+        let guest_log = std::rc::Rc::default();
+        let mut sys = System::new(SystemConfig::testbed(11));
+        let mut g = GuestVm::new(
+            GuestConfig::new(VmmProfile::vmplayer()).with_vnic(VnicMode::Nat),
+            sys.machine(),
+        );
+        g.spawn("net", body(&guest_log));
+        let vm = Vm::install(&mut sys, VmConfig::new("vm0", Priority::Normal), g);
+        assert!(vm.run_until_halted(&mut sys, SimTime::from_secs(10)));
+        // The receive from a sink and the second close fail in the guest
+        // stack, as natively, and reach the guest thread.
+        let expected = [
+            ActionResult::None,
+            ActionResult::Connected(ConnId(1)),
+            ActionResult::Err(OsError::Invalid),
+            ActionResult::NetClosed,
+            ActionResult::Err(OsError::BadHandle),
+        ];
+        assert_eq!(native.borrow()[..], expected);
+        assert_eq!(guest_log.borrow()[..], expected);
+        // Only the connect and the first close escaped to the vNIC; the
+        // failed receive translated no NAT frames.
+        let c = vm.control.borrow();
+        assert_eq!((c.exits_net, c.nat_frames), (2, 0));
     }
 }
